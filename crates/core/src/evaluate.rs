@@ -282,7 +282,7 @@ impl DecoderCache {
         }
         let latency_fam = dim::histogram_family("decoder.distance.decode_latency");
         let errors_fam = dim::counter_family("evaluate.segment.logical_errors");
-        let dist_key = LabelKey::Distance(code.distance() as u16);
+        let dist_key = LabelKey::distance(code.distance());
         let mut ok = true;
         for (idx, segment) in outcome.segments.iter().enumerate() {
             let _seg = surfnet_telemetry::trace::segment_scope(idx as u64);
@@ -315,7 +315,7 @@ impl DecoderCache {
             debug_assert!(result.syndrome_cleared);
             if !result.is_success() {
                 surfnet_telemetry::event!("evaluate.shot_failed");
-                errors_fam.incr(LabelKey::Segment(idx as u32));
+                errors_fam.incr(LabelKey::segment(idx));
                 flight::capture_logical_error(code, &entry.model, &sample);
                 ok = false;
             }
@@ -426,17 +426,16 @@ impl DecoderCache {
         let latency_fam = dim::histogram_family("decoder.distance.decode_latency");
         let errors_fam = dim::counter_family("evaluate.segment.logical_errors");
         let lanes = acc.transfers.len() as u64;
-        let outcomes =
-            latency_fam.time_split(LabelKey::Distance(code.distance() as u16), lanes, || {
-                decode_batch_with(
-                    &entries[i].1.decoder,
-                    code,
-                    &acc.batch,
-                    workspace,
-                    batch_scratch,
-                )
-                .expect("decoding a well-formed surface code sample cannot fail")
-            });
+        let outcomes = latency_fam.time_split(LabelKey::distance(code.distance()), lanes, || {
+            decode_batch_with(
+                &entries[i].1.decoder,
+                code,
+                &acc.batch,
+                workspace,
+                batch_scratch,
+            )
+            .expect("decoding a well-formed surface code sample cannot fail")
+        });
         for (lane, result) in outcomes.iter().enumerate() {
             debug_assert!(result.syndrome_cleared);
             if !result.is_success() {
@@ -446,7 +445,7 @@ impl DecoderCache {
                 let _req = surfnet_telemetry::trace::request_scope(acc.transfers[lane] as u64);
                 let _seg = surfnet_telemetry::trace::segment_scope(acc.segments[lane] as u64);
                 surfnet_telemetry::event!("evaluate.shot_failed");
-                errors_fam.incr(LabelKey::Segment(acc.segments[lane] as u32));
+                errors_fam.incr(LabelKey::segment(acc.segments[lane]));
                 verdicts[acc.transfers[lane]] = false;
             }
         }

@@ -1,7 +1,9 @@
 //! Failure flight recorder: capture failing shots into replayable artifacts.
 //!
-//! When armed (via [`init_from_env`] reading `SURFNET_FLIGHT=<dir>`, or
-//! [`arm`] in tests), the evaluation loop captures every shot that ends in
+//! When armed — process-wide by [`init_from_env`] reading
+//! `SURFNET_FLIGHT=<dir>`, or for one thread by [`arm_thread`] (tests use
+//! this, so concurrent trials elsewhere cannot write into their capture
+//! directory) — the evaluation loop captures every shot that ends in
 //! a logical error — and every shot whose decode trips a `SURFNET_CHECK`
 //! invariant panic — into a self-contained JSON artifact:
 //!
@@ -28,10 +30,11 @@
 //! binary is a thin CLI over this module.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use surfnet_decoder::{Decoder, MwpmDecoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{ErrorModel, ErrorSample, Pauli, PauliString, SurfaceCode, Syndrome};
@@ -41,46 +44,76 @@ use surfnet_telemetry::json::{self, Value};
 /// Default capture budget when `SURFNET_FLIGHT_MAX` is unset.
 pub const DEFAULT_MAX_CAPTURES: usize = 4;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-struct Config {
+/// A capture directory and budget.
+struct Recorder {
     dir: PathBuf,
     max: usize,
-    captured: usize,
+    captured: AtomicUsize,
 }
 
-fn config() -> &'static Mutex<Option<Config>> {
-    static CONFIG: OnceLock<Mutex<Option<Config>>> = OnceLock::new();
-    CONFIG.get_or_init(|| Mutex::new(None))
+impl Recorder {
+    fn new(dir: PathBuf, max: usize) -> Recorder {
+        Recorder {
+            dir,
+            max,
+            captured: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims the next capture slot: the directory and the capture index,
+    /// or `None` once the budget is spent.
+    fn claim(&self) -> Option<(PathBuf, usize)> {
+        self.captured
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                (c < self.max).then_some(c + 1)
+            })
+            .ok()
+            .map(|index| (self.dir.clone(), index))
+    }
 }
 
-/// Whether the flight recorder is armed. One relaxed atomic load; the
-/// evaluation hot path checks this before doing any capture work.
+/// The process-wide recorder, armed once from the environment by
+/// [`init_from_env`]: shots from trials on every thread are captured.
+static PROCESS: OnceLock<Recorder> = OnceLock::new();
+
+thread_local! {
+    /// The recorder armed for this thread alone by [`arm_thread`]; it takes
+    /// precedence over the process-wide one.
+    static THREAD: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+/// Whether the flight recorder is armed for the current thread, either by
+/// [`arm_thread`] or process-wide by [`init_from_env`]. The evaluation hot
+/// path checks this before doing any capture work.
 #[inline]
 pub fn armed() -> bool {
-    // analyzer:allow(atomic-ordering): fast-path gate only; capture()
-    // re-reads everything it needs under the config mutex
-    ARMED.load(Ordering::Relaxed)
+    THREAD.with(|t| t.borrow().is_some()) || PROCESS.get().is_some()
 }
 
-/// Arms the recorder: up to `max` failing shots are written under `dir`.
-pub fn arm(dir: impl Into<PathBuf>, max: usize) {
-    *config().lock().expect("flight config lock") = Some(Config {
-        dir: dir.into(),
-        max,
-        captured: 0,
-    });
-    // analyzer:allow(atomic-ordering): the config mutex (released just
-    // above) publishes dir/budget; the flag is a fast-path gate
-    ARMED.store(true, Ordering::Relaxed);
+/// Arms the recorder for the current thread until the returned scope
+/// drops: up to `max` failing shots from trials run on this thread are
+/// written under `dir`. Trials on other threads — concurrent tests, say —
+/// never capture into it.
+pub fn arm_thread(dir: impl Into<PathBuf>, max: usize) -> ArmedScope {
+    let recorder = Recorder::new(dir.into(), max);
+    ArmedScope {
+        saved: THREAD.with(|t| t.borrow_mut().replace(recorder)),
+        _thread_bound: PhantomData,
+    }
 }
 
-/// Disarms the recorder and forgets the capture directory.
-pub fn disarm() {
-    // analyzer:allow(atomic-ordering): gate flip; a capture racing the
-    // flip still sees a coherent config under the mutex below
-    ARMED.store(false, Ordering::Relaxed);
-    *config().lock().expect("flight config lock") = None;
+/// RAII guard of [`arm_thread`]; restores the thread's previous recorder
+/// (usually none) on drop. Not `Send`: it must drop on the thread it armed.
+pub struct ArmedScope {
+    saved: Option<Recorder>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for ArmedScope {
+    fn drop(&mut self) {
+        let saved = self.saved.take();
+        THREAD.with(|t| *t.borrow_mut() = saved);
+    }
 }
 
 /// Values that read as boolean switches rather than directories. Someone
@@ -148,7 +181,7 @@ pub fn init_from_env() -> Option<PathBuf> {
     match parse_flight_spec(flight.as_deref(), max.as_deref()) {
         Ok(None) => None,
         Ok(Some((dir, budget))) => {
-            arm(&dir, budget);
+            PROCESS.get_or_init(|| Recorder::new(dir.clone(), budget));
             Some(dir)
         }
         Err(message) => {
@@ -253,17 +286,9 @@ fn capture(
     kind: &str,
     panic_message: Option<&str>,
 ) -> Option<PathBuf> {
-    if !armed() {
-        return None;
-    }
-    let (dir, index) = {
-        let mut guard = config().lock().expect("flight config lock");
-        let cfg = guard.as_mut()?;
-        if cfg.captured >= cfg.max {
-            return None;
-        }
-        cfg.captured += 1;
-        (cfg.dir.clone(), cfg.captured - 1)
+    let (dir, index) = match THREAD.with(|t| t.borrow().as_ref().map(Recorder::claim)) {
+        Some(slot) => slot?,
+        None => PROCESS.get()?.claim()?,
     };
     surfnet_telemetry::event!("flight.capture");
     surfnet_telemetry::count!("flight.captured");
@@ -939,12 +964,6 @@ mod tests {
     use rand::SeedableRng;
     use surfnet_lattice::CoreTopology;
 
-    /// Serializes tests that arm the process-global recorder.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn failing_shot(code: &SurfaceCode, model: &ErrorModel, seed: u64) -> ErrorSample {
         // High noise so a failure appears within a bounded number of draws.
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -1014,8 +1033,6 @@ mod tests {
 
     #[test]
     fn disarmed_recorder_captures_nothing() {
-        let _guard = guard();
-        disarm();
         let code = SurfaceCode::new(3).unwrap();
         let model = ErrorModel::uniform(&code, 0.2, 0.1);
         let sample = failing_shot(&code, &model, 3);
@@ -1024,10 +1041,9 @@ mod tests {
 
     #[test]
     fn capture_respects_budget_and_replay_is_bit_exact() {
-        let _guard = guard();
         let dir = std::env::temp_dir().join("surfnet-flight-test-budget");
         let _ = std::fs::remove_dir_all(&dir);
-        arm(&dir, 2);
+        let scope = arm_thread(&dir, 2);
         let _design = trial_scope("SurfNet", "abundant/good", 5);
         let _seed = seed_scope(77);
         let code = SurfaceCode::new(5).unwrap();
@@ -1060,16 +1076,16 @@ mod tests {
             .unwrap();
         assert_eq!(surfnet.replayed_failure, Some(true));
 
-        disarm();
+        drop(scope);
+        assert!(!armed());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn invariant_capture_records_panic_message() {
-        let _guard = guard();
         let dir = std::env::temp_dir().join("surfnet-flight-test-panic");
         let _ = std::fs::remove_dir_all(&dir);
-        arm(&dir, 1);
+        let scope = arm_thread(&dir, 1);
         let code = SurfaceCode::new(3).unwrap();
         let model = ErrorModel::uniform(&code, 0.1, 0.1);
         let sample = model.sample(&mut SmallRng::seed_from_u64(4));
@@ -1087,7 +1103,7 @@ mod tests {
         );
         // No decoders were recorded; replay runs all three fresh.
         assert_eq!(report.decoders.len(), 3);
-        disarm();
+        drop(scope);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1096,10 +1112,9 @@ mod tests {
         // End to end: arm the recorder, run real trials until one shot
         // fails, then replay the artifact and demand an exact reproduction
         // of the captured syndrome and every decoder's correction.
-        let _guard = guard();
         let dir = std::env::temp_dir().join("surfnet-flight-test-e2e");
         let _ = std::fs::remove_dir_all(&dir);
-        arm(&dir, 1);
+        let scope = arm_thread(&dir, 1);
         let cfg = crate::scenario::TrialConfig::default();
         let mut captured = None;
         for seed in 0..64 {
@@ -1121,7 +1136,49 @@ mod tests {
             "replay diverged from the recording:\n{}",
             report.render()
         );
-        disarm();
+        drop(scope);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn arming_is_scoped_to_the_arming_thread() {
+        let dir = std::env::temp_dir().join("surfnet-flight-test-scoped");
+        let _ = std::fs::remove_dir_all(&dir);
+        let code = SurfaceCode::new(3).unwrap();
+        let model = ErrorModel::uniform(&code, 0.2, 0.1);
+        let sample = failing_shot(&code, &model, 3);
+        {
+            let _armed = arm_thread(&dir, 4);
+            assert!(armed());
+            // Another thread sees no recorder and captures nothing, and
+            // does not spend this thread's budget.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert!(!armed());
+                    assert!(capture_logical_error(&code, &model, &sample).is_none());
+                    surfnet_telemetry::flush();
+                });
+            });
+            let path = capture_logical_error(&code, &model, &sample).expect("capture");
+            assert!(
+                path.ends_with("FLIGHT_unknown_noseed_0.json"),
+                "{}",
+                path.display()
+            );
+            // Nested arming shadows the outer recorder and restores it.
+            {
+                let _inner = arm_thread(dir.join("inner"), 0);
+                assert!(capture_logical_error(&code, &model, &sample).is_none());
+            }
+            let path = capture_logical_error(&code, &model, &sample).expect("capture");
+            assert!(
+                path.ends_with("FLIGHT_unknown_noseed_1.json"),
+                "{}",
+                path.display()
+            );
+        }
+        assert!(!armed());
+        assert!(capture_logical_error(&code, &model, &sample).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -192,7 +192,7 @@ pub fn run_trial_on<R: Rng + ?Sized>(
             // Attribute the scheduled codes to the trial's code distance —
             // the per-distance axis the grouped bench exports break down by.
             surfnet_telemetry::dim::counter_family("routing.request.code_distance").add(
-                surfnet_telemetry::dim::LabelKey::Distance(cfg.code_distance as u16),
+                surfnet_telemetry::dim::LabelKey::distance(cfg.code_distance),
                 schedule.codes.len() as u64,
             );
             let outcomes: Vec<_> = {

@@ -1,12 +1,19 @@
-//! A dense two-phase simplex linear-programming solver.
+//! A two-phase simplex linear-programming solver.
 //!
 //! The SurfNet routing protocol (paper Sec. V-A) is an integer program
 //! maximizing network throughput under capacity, entanglement and noise
 //! constraints; the paper's evaluation solves its LP relaxation with
 //! rounding. No LP solver crate is available offline, so this crate
 //! provides one from scratch: a bounded-variable builder
-//! ([`LinearProgram`]) and a classic two-phase dense simplex
-//! ([`simplex`]) with a Bland-rule fallback against cycling.
+//! ([`LinearProgram`]) and a two-phase tableau simplex ([`simplex`]) with
+//! a Bland-rule fallback against cycling.
+//!
+//! The tableau drops fixed (`lower == upper`) columns — the forbidden edge
+//! flows that make up most of a routing formulation — and is stored as one
+//! flat row-major buffer. Each pivot updates only the pivot row's nonzero
+//! columns, in rows whose entering-column entry is nonzero. The pivot
+//! sequence and every result are bit-identical to the plain dense tableau,
+//! which the crate's tests keep as a differential oracle.
 //!
 //! # Examples
 //!
@@ -29,6 +36,8 @@
 #![warn(missing_docs)]
 
 pub mod check;
+#[cfg(test)]
+mod dense;
 pub mod problem;
 pub mod simplex;
 

@@ -81,7 +81,8 @@ impl LinearProgram {
     ///
     /// # Panics
     ///
-    /// Panics if `lower` is not finite, `lower > upper`, or `obj` is NaN.
+    /// Panics if `lower` is not finite, `lower > upper`, or `obj` is NaN or
+    /// infinite.
     pub fn add_var(&mut self, obj: f64, lower: f64, upper: f64) -> Variable {
         assert!(lower.is_finite(), "lower bound must be finite");
         assert!(
@@ -89,6 +90,7 @@ impl LinearProgram {
             "invalid bounds [{lower}, {upper}]"
         );
         assert!(!obj.is_nan(), "objective coefficient is NaN");
+        assert!(obj.is_finite(), "objective coefficient is infinite");
         self.objective.push(obj);
         self.lower.push(lower);
         self.upper.push(upper);
@@ -106,18 +108,21 @@ impl LinearProgram {
     }
 
     /// Adds a constraint `Σ coeff·var  op  rhs`. Duplicate variables in
-    /// `terms` are summed.
+    /// `terms` are summed. The rhs may be infinite: `≤ +∞` and `≥ −∞` never
+    /// bind, while `≥ +∞`, `≤ −∞` and `= ±∞` make the program infeasible.
     ///
     /// # Panics
     ///
-    /// Panics if a variable handle does not belong to this program or a
-    /// coefficient/rhs is NaN.
+    /// Panics if a variable handle does not belong to this program, the rhs
+    /// is NaN, or a coefficient is NaN or infinite (the solver's exactness
+    /// argument for skipping zero entries needs finite coefficients).
     pub fn add_constraint(&mut self, terms: &[(Variable, f64)], op: ConstraintOp, rhs: f64) {
         assert!(!rhs.is_nan(), "constraint rhs is NaN");
         let mut dense: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             assert!(v.0 < self.num_vars(), "variable out of range");
             assert!(!c.is_nan(), "constraint coefficient is NaN");
+            assert!(c.is_finite(), "constraint coefficient is infinite");
             if let Some(slot) = dense.iter_mut().find(|(i, _)| *i == v.0) {
                 slot.1 += c;
             } else {
@@ -226,5 +231,27 @@ mod tests {
     #[should_panic(expected = "invalid bounds")]
     fn rejects_crossed_bounds() {
         LinearProgram::new().add_var(0.0, 1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "constraint coefficient is infinite")]
+    fn rejects_infinite_constraint_coefficient() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(1.0, 0.0, f64::INFINITY);
+        lp.add_constraint(&[(x, f64::INFINITY)], ConstraintOp::Le, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "objective coefficient is infinite")]
+    fn rejects_infinite_objective_coefficient() {
+        LinearProgram::new().add_var(f64::NEG_INFINITY, 0.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "constraint coefficient is NaN")]
+    fn rejects_nan_constraint_coefficient() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(1.0, 0.0, 1.0);
+        lp.add_constraint(&[(x, f64::NAN)], ConstraintOp::Le, 1.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Dense two-phase simplex.
+//! Two-phase simplex on a compacted, flat tableau with support-only pivots.
 //!
 //! The solver converts the bounded-variable program to standard form
 //! (shifted variables, slack/surplus columns, upper bounds as extra rows),
@@ -6,9 +6,35 @@
 //! then phase 2 on the true objective. Pivoting uses Dantzig's rule with a
 //! Bland fallback after a configurable number of iterations so degenerate
 //! routing programs cannot cycle.
+//!
+//! Three things keep a pivot cheap without changing a single pivot choice:
+//!
+//! * **Fixed columns are compacted away.** A variable with `upper == lower`
+//!   (routing formulations pin the flows of forbidden edges this way) has an
+//!   all-zero column and zero cost, so it can never enter the basis. It gets
+//!   no tableau column at all; a monotone column map keeps the remaining
+//!   columns in their original order, so Dantzig ties and Bland's
+//!   lowest-index choices resolve exactly as on the full tableau.
+//! * **The tableau is one row-major `Vec<f64>`**, rhs in the last column,
+//!   recycled across solves.
+//! * **A pivot touches only the pivot row's and entering column's
+//!   support.** The entering column's nonzero rows are gathered once per
+//!   iteration (the ratio test reads only them), and the normalized pivot
+//!   row's nonzero columns once per pivot; each of those rows, and the cost
+//!   row, is updated on those columns only. Rows whose entering-column
+//!   entry is zero are left alone, as the dense update leaves them. Tableau entries are finite (the
+//!   builder rejects NaN and infinite coefficients, and infinite-rhs rows
+//!   never enter the tableau), so the skipped updates `x - f·0.0` would
+//!   have left `x` unchanged: the arithmetic matches the dense update cell
+//!   for cell, up to the sign of zeros.
+//!
+//! After phase 1 the artificial columns are dead — zero in every row, zero
+//! cost — so phase 2 scans and pivots only the structural and slack columns
+//! in front of them.
 
 use crate::problem::{ConstraintOp, Direction, LinearProgram};
 use crate::{LpError, Solution};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const EPS: f64 = 1e-9;
 /// Feasibility slack granted per ratio-test candidate: a leaving-row choice
@@ -25,361 +51,475 @@ pub fn solve(lp: &LinearProgram, direction: Direction) -> Result<Solution, LpErr
     let _span = surfnet_telemetry::span!("lp.solve");
     let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Lp);
     surfnet_telemetry::count!("lp.solves");
+    solve_counted(lp, direction).0
+}
+
+/// [`solve`] without the telemetry scopes, also returning the number of
+/// pivots performed (the per-solve share of the `lp.pivots` counter).
+pub(crate) fn solve_counted(
+    lp: &LinearProgram,
+    direction: Direction,
+) -> (Result<Solution, LpError>, usize) {
     let n = lp.num_vars();
     if n == 0 {
-        return Ok(Solution {
+        let empty = Solution {
             objective: 0.0,
             values: Vec::new(),
-        });
+        };
+        return (Ok(empty), 0);
     }
+    let mut t = match Tableau::build(lp) {
+        Ok(t) => t,
+        Err(e) => return (Err(e), 0),
+    };
+    let result = t.optimize(lp, direction);
+    (result, t.pivots)
+}
 
-    // Shifted variables y = x - l ≥ 0. Variables with a zero-width range
-    // (upper == lower — routing formulations pin hundreds of forbidden
-    // edge flows this way) are *fixed*: their column is zeroed and no
-    // bound row is emitted, which keeps the tableau small.
-    let fixed: Vec<bool> = (0..n).map(|i| lp.upper[i] - lp.lower[i] <= 0.0).collect();
+/// The standard-form tableau of one solve.
+///
+/// Columns: `[structural (non-fixed variables)] [slack/surplus]
+/// [artificials] [rhs]`. Rows: every original constraint with a finite
+/// rhs, then one `y_i ≤ u_i - l_i` row per non-fixed variable with a finite
+/// upper bound.
+struct Tableau {
+    /// `rows × width` cells, row-major.
+    cells: Vec<f64>,
+    /// Columns per row, rhs included.
+    width: usize,
+    rows: usize,
+    /// Basic column of each row.
+    basis: Vec<usize>,
+    /// Tableau column of each variable; `None` for fixed variables.
+    col_of: Vec<Option<usize>>,
+    /// First artificial column; artificials occupy `art_start..rhs`.
+    art_start: usize,
+    /// Columns `active..rhs` are never scanned or updated (the artificials
+    /// once phase 1 has retired them).
+    active: usize,
+    /// Pivot budget and Bland switch point, sized from the *uncompacted*
+    /// column count so compaction cannot change when either triggers.
+    max_iters: usize,
+    bland_after: usize,
+    /// Nonzero `(column, value)` entries of the normalized pivot row,
+    /// reused across pivots.
+    support: Vec<(usize, f64)>,
+    /// The entering column chosen by [`Tableau::load_entering`] and its
+    /// nonzero `(row, value)` entries in row order, reused across pivots.
+    entering: usize,
+    column: Vec<(usize, f64)>,
+    pivots: usize,
+}
 
-    // Build the row list: every original constraint plus one
-    // `y_i ≤ u_i - l_i` row per finite, non-degenerate upper bound.
-    struct Row {
-        coeffs: Vec<f64>,
-        op: ConstraintOp,
-        rhs: f64,
+/// Cell buffers of finished solves, reused by the next ones.
+///
+/// A routing tableau is one allocation of about a megabyte. Allocating and
+/// freeing one per solve lets glibc's malloc raise its mmap threshold and
+/// then strand freed tableaus in fragmented arena heaps: fig7's peak RSS
+/// swung between 9 and 12 MB from run to run. Recycled buffers hold it at
+/// 6–7 MB. The pool keeps at most one buffer per concurrently solving
+/// thread, each as large as the largest tableau that thread has built.
+fn spare_cells() -> MutexGuard<'static, Vec<Vec<f64>>> {
+    static SPARE: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+    // A poisoned pool still holds valid (if stale) buffers.
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Drop for Tableau {
+    fn drop(&mut self) {
+        spare_cells().push(std::mem::take(&mut self.cells));
     }
-    let mut rows: Vec<Row> = Vec::with_capacity(lp.num_constraints());
-    for c in &lp.constraints {
-        let mut coeffs = vec![0.0; n];
-        let mut shift = 0.0;
-        for &(i, co) in &c.terms {
-            if !fixed[i] {
-                coeffs[i] += co;
+}
+
+/// Where a tableau row comes from.
+enum RowSource<'a> {
+    /// An original constraint's terms.
+    Terms(&'a [(usize, f64)]),
+    /// A `y_i ≤ u_i - l_i` bound row, by the bounded variable's column.
+    Bound(usize),
+}
+
+impl Tableau {
+    /// Lays out the standard-form tableau of `lp`.
+    ///
+    /// A constraint whose shifted rhs is infinite never enters the tableau:
+    /// one that reads `… ≤ +∞` after normalization can never bind (its slack
+    /// stays basic and its row is never chosen by the ratio test), and any
+    /// other (`≥ +∞`, `= ±∞`) is unsatisfiable.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::Infeasible`] for an unsatisfiable infinite-rhs constraint.
+    fn build(lp: &LinearProgram) -> Result<Tableau, LpError> {
+        let n = lp.num_vars();
+        // Shifted variables y = x - l ≥ 0. Variables with a zero-width
+        // range are fixed and get no column.
+        let mut col_of = Vec::with_capacity(n);
+        let mut structural = 0usize;
+        for i in 0..n {
+            if lp.upper[i] - lp.lower[i] <= 0.0 {
+                col_of.push(None);
+            } else {
+                col_of.push(Some(structural));
+                structural += 1;
             }
-            shift += co * lp.lower[i];
         }
-        rows.push(Row {
-            coeffs,
-            op: c.op,
-            rhs: c.rhs - shift,
-        });
-    }
-    for i in 0..n {
-        if lp.upper[i].is_finite() && !fixed[i] {
-            let range = lp.upper[i] - lp.lower[i];
-            let mut coeffs = vec![0.0; n];
-            coeffs[i] = 1.0;
-            rows.push(Row {
-                coeffs,
-                op: ConstraintOp::Le,
-                rhs: range,
-            });
-        }
-    }
 
-    // Normalize to non-negative rhs.
-    for r in rows.iter_mut() {
-        if r.rhs < 0.0 {
-            r.rhs = -r.rhs;
-            for c in r.coeffs.iter_mut() {
-                *c = -*c;
+        // Every row with its shifted rhs and operator, normalized to a
+        // non-negative rhs (negating the row flips `≤` and `≥`).
+        let mut specs: Vec<(RowSource<'_>, f64, ConstraintOp)> =
+            Vec::with_capacity(lp.num_constraints());
+        let mut vacuous = 0usize;
+        for c in &lp.constraints {
+            let mut shift = 0.0;
+            for &(i, co) in &c.terms {
+                shift += co * lp.lower[i];
             }
-            r.op = match r.op {
-                ConstraintOp::Le => ConstraintOp::Ge,
-                ConstraintOp::Ge => ConstraintOp::Le,
-                ConstraintOp::Eq => ConstraintOp::Eq,
+            let rhs = c.rhs - shift;
+            let op = match (c.op, rhs < 0.0) {
+                (ConstraintOp::Le, true) => ConstraintOp::Ge,
+                (ConstraintOp::Ge, true) => ConstraintOp::Le,
+                (op, _) => op,
             };
+            if rhs.is_infinite() {
+                if op != ConstraintOp::Le {
+                    return Err(LpError::Infeasible);
+                }
+                vacuous += 1;
+                continue;
+            }
+            specs.push((RowSource::Terms(&c.terms), rhs, op));
         }
-    }
-
-    let m = rows.len();
-    // Column layout: [y (n)] [slack/surplus (m at most)] [artificials] [rhs]
-    let mut num_slack = 0usize;
-    let mut num_art = 0usize;
-    for r in &rows {
-        match r.op {
-            ConstraintOp::Le => num_slack += 1,
-            ConstraintOp::Ge => {
-                num_slack += 1;
-                num_art += 1;
-            }
-            ConstraintOp::Eq => num_art += 1,
-        }
-    }
-    let total = n + num_slack + num_art;
-    let rhs_col = total;
-    let mut tableau = vec![vec![0.0f64; total + 1]; m];
-    let mut basis = vec![usize::MAX; m];
-    let mut art_cols: Vec<usize> = Vec::with_capacity(num_art);
-
-    let mut next_slack = n;
-    let mut next_art = n + num_slack;
-    for (ri, r) in rows.iter().enumerate() {
-        tableau[ri][..n].copy_from_slice(&r.coeffs);
-        tableau[ri][rhs_col] = r.rhs;
-        match r.op {
-            ConstraintOp::Le => {
-                tableau[ri][next_slack] = 1.0;
-                basis[ri] = next_slack;
-                next_slack += 1;
-            }
-            ConstraintOp::Ge => {
-                tableau[ri][next_slack] = -1.0;
-                next_slack += 1;
-                tableau[ri][next_art] = 1.0;
-                basis[ri] = next_art;
-                art_cols.push(next_art);
-                next_art += 1;
-            }
-            ConstraintOp::Eq => {
-                tableau[ri][next_art] = 1.0;
-                basis[ri] = next_art;
-                art_cols.push(next_art);
-                next_art += 1;
+        for i in 0..n {
+            if let (Some(j), true) = (col_of[i], lp.upper[i].is_finite()) {
+                let range = lp.upper[i] - lp.lower[i];
+                specs.push((RowSource::Bound(j), range, ConstraintOp::Le));
             }
         }
-    }
 
-    let max_iters = 200 * (m + total) + 1000;
-    let bland_after = 20 * (m + total) + 200;
+        let rows = specs.len();
+        let num_slack = specs.iter().filter(|s| s.2 != ConstraintOp::Eq).count();
+        let num_art = specs.iter().filter(|s| s.2 != ConstraintOp::Le).count();
+        let art_start = structural + num_slack;
+        let rhs_col = art_start + num_art;
+        let width = rhs_col + 1;
 
-    // Phase 1: minimize the sum of artificials.
-    if num_art > 0 {
-        let mut cost = vec![0.0; total + 1];
-        for &a in &art_cols {
-            cost[a] = 1.0;
-        }
-        // Price out the basic artificials.
-        for ri in 0..m {
-            if art_cols.contains(&basis[ri]) {
-                for j in 0..=total {
-                    cost[j] -= tableau[ri][j];
+        let mut cells = spare_cells().pop().unwrap_or_default();
+        cells.clear();
+        cells.resize(rows * width, 0.0);
+        let mut basis = vec![0usize; rows];
+        let mut next_slack = structural;
+        let mut next_art = art_start;
+        for ((source, rhs, op), (row, b)) in specs
+            .iter()
+            .zip(cells.chunks_exact_mut(width).zip(basis.iter_mut()))
+        {
+            match *source {
+                RowSource::Terms(terms) => {
+                    for &(i, co) in terms {
+                        if let Some(j) = col_of[i] {
+                            row[j] += co;
+                        }
+                    }
+                }
+                RowSource::Bound(j) => row[j] = 1.0,
+            }
+            if *rhs < 0.0 {
+                for c in &mut row[..structural] {
+                    *c = -*c;
+                }
+                row[rhs_col] = -*rhs;
+            } else {
+                row[rhs_col] = *rhs;
+            }
+            match op {
+                ConstraintOp::Le => {
+                    row[next_slack] = 1.0;
+                    *b = next_slack;
+                    next_slack += 1;
+                }
+                ConstraintOp::Ge => {
+                    row[next_slack] = -1.0;
+                    next_slack += 1;
+                    row[next_art] = 1.0;
+                    *b = next_art;
+                    next_art += 1;
+                }
+                ConstraintOp::Eq => {
+                    row[next_art] = 1.0;
+                    *b = next_art;
+                    next_art += 1;
                 }
             }
         }
-        run_simplex(
-            &mut tableau,
-            &mut basis,
-            &mut cost,
-            rhs_col,
-            max_iters,
-            bland_after,
-        )?;
-        let phase1_obj = -cost[rhs_col];
-        if phase1_obj > 1e-6 {
-            return Err(LpError::Infeasible);
+
+        // Budgets count every column and row of the uncompacted tableau:
+        // fixed columns, and the vacuous rows with their slacks.
+        let full = (rows + vacuous) + (n + num_slack + vacuous + num_art);
+        Ok(Tableau {
+            cells,
+            width,
+            rows,
+            basis,
+            col_of,
+            art_start,
+            active: rhs_col,
+            max_iters: 200 * full + 1000,
+            bland_after: 20 * full + 200,
+            support: Vec::new(),
+            entering: 0,
+            column: Vec::new(),
+            pivots: 0,
+        })
+    }
+
+    fn rhs_col(&self) -> usize {
+        self.width - 1
+    }
+
+    fn row(&self, ri: usize) -> &[f64] {
+        &self.cells[ri * self.width..(ri + 1) * self.width]
+    }
+
+    fn is_art(&self, col: usize) -> bool {
+        col >= self.art_start && col < self.rhs_col()
+    }
+
+    /// `SURFNET_CHECK`: every basic value (the rhs column) is feasible.
+    fn check_feasible(&self, stage: &str) {
+        if crate::check::enabled() {
+            let rhs_col = self.rhs_col();
+            let values = self.cells.chunks_exact(self.width).map(|r| r[rhs_col]);
+            crate::check::assert_ok(crate::check::check_primal_feasible(values), stage);
         }
-        // Pivot remaining artificials out of the basis (degenerate rows).
-        for ri in 0..m {
-            if art_cols.contains(&basis[ri]) {
-                let pivot_col = (0..n + num_slack).find(|&j| tableau[ri][j].abs() > EPS);
-                match pivot_col {
-                    Some(j) => pivot(&mut tableau, &mut basis, ri, j, rhs_col),
-                    None => {
-                        // Redundant row: zero it (keeps indices stable).
-                        for j in 0..=total {
-                            tableau[ri][j] = 0.0;
+    }
+
+    /// Subtracts `factor ×` row `ri` from `cost` over the active columns
+    /// and the rhs.
+    fn price_out(&self, cost: &mut [f64], ri: usize, factor: f64) {
+        let rhs_col = self.rhs_col();
+        let row = self.row(ri);
+        for (c, &t) in cost[..self.active].iter_mut().zip(&row[..self.active]) {
+            *c -= factor * t;
+        }
+        cost[rhs_col] -= factor * row[rhs_col];
+    }
+
+    fn optimize(&mut self, lp: &LinearProgram, direction: Direction) -> Result<Solution, LpError> {
+        let rhs_col = self.rhs_col();
+        // Phase 1: minimize the sum of artificials.
+        if self.art_start < rhs_col {
+            let mut cost = vec![0.0; self.width];
+            for c in &mut cost[self.art_start..rhs_col] {
+                *c = 1.0;
+            }
+            // Price out the basic artificials.
+            for ri in 0..self.rows {
+                if self.is_art(self.basis[ri]) {
+                    self.price_out(&mut cost, ri, 1.0);
+                }
+            }
+            self.run_simplex(&mut cost)?;
+            let phase1_obj = -cost[rhs_col];
+            if phase1_obj > 1e-6 {
+                return Err(LpError::Infeasible);
+            }
+            // Pivot remaining artificials out of the basis (degenerate rows).
+            for ri in 0..self.rows {
+                if self.is_art(self.basis[ri]) {
+                    let row = self.row(ri);
+                    match (0..self.art_start).find(|&j| row[j].abs() > EPS) {
+                        Some(j) => {
+                            self.load_entering(j);
+                            self.pivot(ri);
+                        }
+                        None => {
+                            // Redundant row: zero it (keeps indices stable).
+                            let w = self.width;
+                            self.cells[ri * w..(ri + 1) * w].fill(0.0);
                         }
                     }
                 }
             }
+            // Retire the artificials: phase 2 never looks at their columns.
+            self.active = self.art_start;
+
+            // SURFNET_CHECK: driving artificials out of a degenerate basis
+            // pivots on ~zero rhs rows and must not lose feasibility.
+            self.check_feasible("phase-1 artificial cleanup");
         }
-        // Forbid artificials from re-entering by erasing their columns.
-        for &a in &art_cols {
-            for row in tableau.iter_mut() {
-                row[a] = 0.0;
+
+        // Phase 2: the true objective. Internally minimize; maximization
+        // negates the cost vector.
+        let sign = match direction {
+            Direction::Maximize => -1.0,
+            Direction::Minimize => 1.0,
+        };
+        let mut cost = vec![0.0; self.width];
+        for (i, col) in self.col_of.iter().enumerate() {
+            if let Some(j) = *col {
+                cost[j] = sign * lp.objective[i];
             }
         }
-
-        // SURFNET_CHECK: driving artificials out of a degenerate basis
-        // pivots on ~zero rhs rows and must not lose feasibility.
-        if crate::check::enabled() {
-            crate::check::assert_ok(
-                crate::check::check_primal_feasible(&tableau, rhs_col),
-                "phase-1 artificial cleanup",
-            );
-        }
-    }
-
-    // Phase 2: the true objective. Internally minimize; maximization
-    // negates the cost vector.
-    let sign = match direction {
-        Direction::Maximize => -1.0,
-        Direction::Minimize => 1.0,
-    };
-    let mut cost = vec![0.0; total + 1];
-    for i in 0..n {
-        // Fixed variables never enter the basis: zero cost, zero column.
-        if !fixed[i] {
-            cost[i] = sign * lp.objective[i];
-        }
-    }
-    // Artificials keep zero cost but their columns are erased above.
-    for ri in 0..m {
-        let b = basis[ri];
-        if b != usize::MAX && cost[b].abs() > 0.0 {
-            let c = cost[b];
-            for j in 0..=total {
-                cost[j] -= c * tableau[ri][j];
+        for ri in 0..self.rows {
+            let c = cost[self.basis[ri]];
+            if c.abs() > 0.0 {
+                self.price_out(&mut cost, ri, c);
             }
         }
-    }
-    run_simplex(
-        &mut tableau,
-        &mut basis,
-        &mut cost,
-        rhs_col,
-        max_iters,
-        bland_after,
-    )?;
+        self.run_simplex(&mut cost)?;
 
-    // Extract the solution.
-    let mut y = vec![0.0; total];
-    for ri in 0..m {
-        let b = basis[ri];
-        if b != usize::MAX && b < total {
-            y[b] = tableau[ri][rhs_col];
+        // Extract the solution.
+        let mut y = vec![0.0; rhs_col];
+        for ri in 0..self.rows {
+            y[self.basis[ri]] = self.row(ri)[rhs_col];
         }
+        let values: Vec<f64> = self
+            .col_of
+            .iter()
+            .enumerate()
+            .map(|(i, col)| lp.lower[i] + col.map_or(0.0, |j| y[j]))
+            .collect();
+        Ok(Solution {
+            objective: lp.objective_value(&values),
+            values,
+        })
     }
-    let values: Vec<f64> = (0..n).map(|i| lp.lower[i] + y[i]).collect();
-    Ok(Solution {
-        objective: lp.objective_value(&values),
-        values,
-    })
-}
 
-/// Runs simplex iterations until optimality.
-///
-/// `cost` is the current reduced-cost row for a *minimization*; entry
-/// `cost[rhs]` tracks the negated objective value.
-fn run_simplex(
-    tableau: &mut [Vec<f64>],
-    basis: &mut [usize],
-    cost: &mut [f64],
-    rhs_col: usize,
-    max_iters: usize,
-    bland_after: usize,
-) -> Result<(), LpError> {
-    let m = tableau.len();
-    for iter in 0..max_iters {
-        surfnet_telemetry::count!("lp.iterations");
-        let use_bland = iter >= bland_after;
-        // Entering column: most negative reduced cost (Dantzig) or first
-        // negative (Bland).
-        let mut enter = usize::MAX;
-        let mut best = -EPS;
-        for j in 0..rhs_col {
-            let c = cost[j];
-            if c < best {
-                enter = j;
-                if use_bland {
-                    break;
-                }
-                best = c;
-            }
-        }
-        if enter == usize::MAX {
-            return Ok(());
-        }
-        // Ratio test, Harris-style two-pass. Comparing raw ratios with an
-        // absolute tolerance is scale-blind: when the entering column holds
-        // entries of ~1e15, two ratios 1e-14 apart look "tied" yet pivoting
-        // on the looser one moves other rows' rhs by tens. Pass 1 finds the
-        // tightest step bound with a small *feasibility* tolerance on the
-        // rhs; pass 2 picks among the rows whose ratio fits inside that
-        // bound, so any choice degrades feasibility by at most RATIO_TOL.
-        let mut t_limit = f64::INFINITY;
-        for row in tableau.iter() {
-            let a = row[enter];
-            if a > EPS {
-                let bound = (row[rhs_col].max(0.0) + RATIO_TOL) / a;
-                if bound < t_limit {
-                    t_limit = bound;
+    /// Runs simplex iterations until optimality.
+    ///
+    /// `cost` is the current reduced-cost row for a *minimization*; entry
+    /// `cost[rhs]` tracks the negated objective value.
+    fn run_simplex(&mut self, cost: &mut [f64]) -> Result<(), LpError> {
+        let rhs_col = self.rhs_col();
+        let w = self.width;
+        for iter in 0..self.max_iters {
+            surfnet_telemetry::count!("lp.iterations");
+            let use_bland = iter >= self.bland_after;
+            // Entering column: most negative reduced cost (Dantzig) or first
+            // negative (Bland).
+            let mut enter = usize::MAX;
+            let mut best = -EPS;
+            for (j, &c) in cost[..self.active].iter().enumerate() {
+                if c < best {
+                    enter = j;
+                    if use_bland {
+                        break;
+                    }
+                    best = c;
                 }
             }
-        }
-        if t_limit.is_infinite() {
-            return Err(LpError::Unbounded);
-        }
-        // Among candidates: largest pivot element for numerical stability
-        // (Dantzig phase) or lowest basis index (Bland anti-cycling phase).
-        let mut leave = usize::MAX;
-        let mut best_a = 0.0;
-        for ri in 0..m {
-            let a = tableau[ri][enter];
-            if a > EPS && tableau[ri][rhs_col] / a <= t_limit {
-                let better = if use_bland {
-                    leave == usize::MAX || basis[ri] < basis[leave]
-                } else {
-                    a > best_a
-                };
-                if better {
-                    best_a = a;
-                    leave = ri;
+            if enter == usize::MAX {
+                return Ok(());
+            }
+            // Ratio test, Harris-style two-pass. Comparing raw ratios with an
+            // absolute tolerance is scale-blind: when the entering column holds
+            // entries of ~1e15, two ratios 1e-14 apart look "tied" yet pivoting
+            // on the looser one moves other rows' rhs by tens. Pass 1 finds the
+            // tightest step bound with a small *feasibility* tolerance on the
+            // rhs; pass 2 picks among the rows whose ratio fits inside that
+            // bound, so any choice degrades feasibility by at most RATIO_TOL.
+            self.load_entering(enter);
+            let mut t_limit = f64::INFINITY;
+            for &(ri, a) in &self.column {
+                if a > EPS {
+                    let bound = (self.cells[ri * w + rhs_col].max(0.0) + RATIO_TOL) / a;
+                    if bound < t_limit {
+                        t_limit = bound;
+                    }
                 }
             }
-        }
-        // The bound-setting row itself always qualifies (rhs/a ≤
-        // (rhs.max(0)+tol)/a), so a candidate is guaranteed to exist.
-        debug_assert!(leave != usize::MAX, "ratio test found no leaving row");
-        pivot_with_cost(tableau, basis, cost, leave, enter, rhs_col);
-
-        // SURFNET_CHECK: the ratio test exists to keep the basis primal-
-        // feasible — verify after every pivot.
-        if crate::check::enabled() {
-            crate::check::assert_ok(
-                crate::check::check_primal_feasible(tableau, rhs_col),
-                "simplex pivot",
-            );
-        }
-    }
-    Err(LpError::IterationLimit)
-}
-
-fn pivot_with_cost(
-    tableau: &mut [Vec<f64>],
-    basis: &mut [usize],
-    cost: &mut [f64],
-    leave: usize,
-    enter: usize,
-    rhs_col: usize,
-) {
-    pivot(tableau, basis, leave, enter, rhs_col);
-    let factor = cost[enter];
-    if factor.abs() > 0.0 {
-        for j in 0..=rhs_col {
-            cost[j] -= factor * tableau[leave][j];
-        }
-        cost[enter] = 0.0;
-    }
-}
-
-fn pivot(
-    tableau: &mut [Vec<f64>],
-    basis: &mut [usize],
-    leave: usize,
-    enter: usize,
-    rhs_col: usize,
-) {
-    surfnet_telemetry::count!("lp.pivots");
-    let p = tableau[leave][enter];
-    debug_assert!(p.abs() > EPS, "pivot on near-zero element");
-    let inv = 1.0 / p;
-    for j in 0..=rhs_col {
-        tableau[leave][j] *= inv;
-    }
-    tableau[leave][enter] = 1.0;
-    for ri in 0..tableau.len() {
-        if ri == leave {
-            continue;
-        }
-        let f = tableau[ri][enter];
-        if f.abs() > 0.0 {
-            for j in 0..=rhs_col {
-                tableau[ri][j] -= f * tableau[leave][j];
+            if t_limit.is_infinite() {
+                return Err(LpError::Unbounded);
             }
-            tableau[ri][enter] = 0.0;
+            // Among candidates: largest pivot element for numerical stability
+            // (Dantzig phase) or lowest basis index (Bland anti-cycling phase).
+            let mut leave = usize::MAX;
+            let mut best_a = 0.0;
+            for &(ri, a) in &self.column {
+                if a > EPS && self.cells[ri * w + rhs_col] / a <= t_limit {
+                    let better = if use_bland {
+                        leave == usize::MAX || self.basis[ri] < self.basis[leave]
+                    } else {
+                        a > best_a
+                    };
+                    if better {
+                        best_a = a;
+                        leave = ri;
+                    }
+                }
+            }
+            // The bound-setting row itself always qualifies (rhs/a ≤
+            // (rhs.max(0)+tol)/a), so a candidate is guaranteed to exist.
+            debug_assert!(leave != usize::MAX, "ratio test found no leaving row");
+            self.pivot(leave);
+            let factor = cost[enter];
+            if factor.abs() > 0.0 {
+                for &(j, v) in &self.support {
+                    cost[j] -= factor * v;
+                }
+                cost[enter] = 0.0;
+            }
+
+            // SURFNET_CHECK: the ratio test exists to keep the basis primal-
+            // feasible — verify after every pivot.
+            self.check_feasible("simplex pivot");
+        }
+        Err(LpError::IterationLimit)
+    }
+
+    /// Chooses column `enter` to enter the basis next and gathers its
+    /// nonzero entries: the ratio test reads only those rows, and the pivot
+    /// updates only those rows.
+    fn load_entering(&mut self, enter: usize) {
+        self.entering = enter;
+        self.column.clear();
+        for (ri, row) in self.cells.chunks_exact(self.width).enumerate() {
+            if row[enter] != 0.0 {
+                self.column.push((ri, row[enter]));
+            }
         }
     }
-    basis[leave] = enter;
+
+    /// Pivots the column chosen by [`Tableau::load_entering`] into the
+    /// basis at row `leave`, leaving the normalized pivot row's support
+    /// (entering column excluded) in `self.support` for the caller's
+    /// cost-row update.
+    fn pivot(&mut self, leave: usize) {
+        surfnet_telemetry::count!("lp.pivots");
+        self.pivots += 1;
+        let enter = self.entering;
+        let w = self.width;
+        let rhs_col = self.rhs_col();
+        let active = self.active;
+        let pivot_row = &mut self.cells[leave * w..(leave + 1) * w];
+        let p = pivot_row[enter];
+        debug_assert!(p.abs() > EPS, "pivot on near-zero element");
+        let inv = 1.0 / p;
+        self.support.clear();
+        pivot_row[enter] = 0.0;
+        for (j, v) in pivot_row[..active].iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v *= inv;
+                self.support.push((j, *v));
+            }
+        }
+        if pivot_row[rhs_col] != 0.0 {
+            pivot_row[rhs_col] *= inv;
+            self.support.push((rhs_col, pivot_row[rhs_col]));
+        }
+        pivot_row[enter] = 1.0;
+        for &(ri, f) in &self.column {
+            if ri != leave && f.abs() > 0.0 {
+                let row = &mut self.cells[ri * w..(ri + 1) * w];
+                for &(j, v) in &self.support {
+                    row[j] -= f * v;
+                }
+                row[enter] = 0.0;
+            }
+        }
+        self.basis[leave] = enter;
+    }
 }
 
 #[cfg(test)]
@@ -529,6 +669,80 @@ mod tests {
         lp.add_constraint(&[(x, -1.0)], ConstraintOp::Le, -2.0);
         let s = lp.minimize().unwrap();
         assert!((s.objective - 2.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn infinite_rhs_rows_never_bind() {
+        // x ≤ +∞ and x + y ≥ −∞ are vacuous; the bounds decide.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(2.0, 1.0, 5.0);
+        let y = lp.add_var(1.0, 0.0, f64::INFINITY);
+        lp.add_constraint(&[(x, 1.0)], ConstraintOp::Le, f64::INFINITY);
+        lp.add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Ge, f64::NEG_INFINITY);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 7.0);
+        let s = lp.maximize().unwrap();
+        assert_eq!(s.values, vec![5.0, 2.0]);
+        assert_eq!(s.objective, 12.0);
+        // Without the finite row, only the infinite upper bound on y is left.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(1.0, 0.0, f64::INFINITY);
+        lp.add_constraint(&[(x, 1.0)], ConstraintOp::Le, f64::INFINITY);
+        assert_eq!(lp.maximize().unwrap_err(), LpError::Unbounded);
+        assert_eq!(lp.minimize().unwrap().values, vec![0.0]);
+    }
+
+    #[test]
+    fn unsatisfiable_infinite_rhs_rows_are_infeasible() {
+        let cases = [
+            (ConstraintOp::Ge, f64::INFINITY),
+            (ConstraintOp::Le, f64::NEG_INFINITY),
+            (ConstraintOp::Eq, f64::INFINITY),
+            (ConstraintOp::Eq, f64::NEG_INFINITY),
+        ];
+        for (op, rhs) in cases {
+            let mut lp = LinearProgram::new();
+            let x = lp.add_var(1.0, 0.0, f64::INFINITY);
+            lp.add_constraint(&[(x, 1.0)], op, rhs);
+            assert_eq!(
+                lp.maximize().unwrap_err(),
+                LpError::Infeasible,
+                "{op:?} {rhs}"
+            );
+            assert_eq!(
+                lp.minimize().unwrap_err(),
+                LpError::Infeasible,
+                "{op:?} {rhs}"
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_upper_bounds_add_no_rows() {
+        // Only the finite upper bound of x gets a bound row; y is capped
+        // by the constraint alone.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(1.0, 0.0, 3.0);
+        let y = lp.add_var(1.0, -2.0, f64::INFINITY);
+        lp.add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 10.0);
+        let s = lp.maximize().unwrap();
+        assert!(
+            (s.objective - 6.5).abs() < 1e-9,
+            "objective {}",
+            s.objective
+        );
+        assert!(lp.is_feasible(&s.values, 1e-9));
+    }
+
+    #[test]
+    fn fixed_variables_keep_their_value_and_shift_rows() {
+        // f is pinned at 2: x + f ≤ 5 leaves x ≤ 3.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(1.0, 0.0, f64::INFINITY);
+        let f = lp.add_var(10.0, 2.0, 2.0);
+        lp.add_constraint(&[(x, 1.0), (f, 1.0)], ConstraintOp::Le, 5.0);
+        let s = lp.maximize().unwrap();
+        assert_eq!(s.values, vec![3.0, 2.0]);
+        assert_eq!(s.objective, 23.0);
     }
 
     #[test]

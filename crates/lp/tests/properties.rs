@@ -29,6 +29,62 @@ fn feasible_lp(
     (lp, witness)
 }
 
+/// Builds a random LP around a witness point that covers every branch of
+/// the tableau layout: fixed variables (`lower == upper`), nonzero and
+/// negative lower bounds, finite and infinite upper bounds, and `Le`/`Ge`/
+/// `Eq` rows whose rhs takes either sign. Returns the program, the witness,
+/// and whether some variable is unbounded above.
+fn mixed_lp(seed: u64) -> (LinearProgram, Vec<f64>, bool) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % 1000) as f64 / 100.0
+    };
+    let n = 1 + (seed % 7) as usize;
+    let mut lp = LinearProgram::new();
+    let mut witness = Vec::with_capacity(n);
+    let mut open_above = false;
+    let mut vars = Vec::with_capacity(n);
+    for _ in 0..n {
+        let lower = if next() < 5.0 { 0.0 } else { next() - 5.0 };
+        let kind = next();
+        let (upper, w) = if kind < 2.5 {
+            (lower, lower)
+        } else if kind < 7.5 {
+            let upper = lower + 0.5 + next();
+            (upper, lower + (upper - lower) * next() / 10.0)
+        } else {
+            open_above = true;
+            (f64::INFINITY, lower + next())
+        };
+        vars.push(lp.add_var(next() - 5.0, lower, upper));
+        witness.push(w);
+    }
+    let m = 1 + ((seed >> 8) % 6) as usize;
+    for _ in 0..m {
+        let mut terms = Vec::new();
+        let mut lhs = 0.0;
+        for (&v, &w) in vars.iter().zip(&witness) {
+            if next() < 7.0 {
+                let c = next() - 5.0;
+                terms.push((v, c));
+                lhs += c * w;
+            }
+        }
+        let kind = next();
+        if kind < 4.0 {
+            lp.add_constraint(&terms, ConstraintOp::Le, lhs + next());
+        } else if kind < 8.0 {
+            lp.add_constraint(&terms, ConstraintOp::Ge, lhs - next());
+        } else {
+            lp.add_constraint(&terms, ConstraintOp::Eq, lhs);
+        }
+    }
+    (lp, witness, open_above)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -62,6 +118,30 @@ proptest! {
             sol.objective,
             witness_obj
         );
+    }
+
+    #[test]
+    fn mixed_programs_solve_at_least_as_well_as_the_witness(seed in any::<u64>()) {
+        let (lp, witness, open_above) = mixed_lp(seed);
+        prop_assert!(lp.is_feasible(&witness, 1e-9));
+        for (sign, result) in [(1.0, lp.maximize()), (-1.0, lp.minimize())] {
+            match result {
+                Ok(sol) => {
+                    prop_assert!(lp.is_feasible(&sol.values, 1e-6), "seed {}", seed);
+                    let witness_obj = lp.objective_value(&witness);
+                    prop_assert!(
+                        sign * sol.objective >= sign * witness_obj - 1e-6,
+                        "seed {}: solver {} worse than witness {}",
+                        seed,
+                        sol.objective,
+                        witness_obj
+                    );
+                }
+                // Only a variable without an upper bound can run away.
+                Err(LpError::Unbounded) if open_above => {}
+                Err(e) => prop_assert!(false, "seed {}: feasible program gave {:?}", seed, e),
+            }
+        }
     }
 
     #[test]

@@ -715,7 +715,7 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
         for (f, &n) in link_drops.iter().enumerate() {
             if n > 0 {
                 let fiber = net.fiber(f);
-                fam.add(dim::LabelKey::Link(fiber.a as u16, fiber.b as u16), n);
+                fam.add(dim::LabelKey::link(fiber.a, fiber.b), n);
             }
         }
     }

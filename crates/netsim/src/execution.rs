@@ -19,7 +19,7 @@ use surfnet_telemetry::dim;
 /// (normalized) endpoint pair.
 pub(crate) fn link_key(net: &Network, f: FiberId) -> dim::LabelKey {
     let fiber = net.fiber(f);
-    dim::LabelKey::Link(fiber.a as u16, fiber.b as u16)
+    dim::LabelKey::link(fiber.a, fiber.b)
 }
 
 /// Merges one execution's per-fiber attempt tallies and pair deliveries
@@ -450,7 +450,7 @@ pub fn execute_teleportation<R: Rng + ?Sized>(
         surfnet_telemetry::count!("netsim.entanglement_attempts", ticks);
         surfnet_telemetry::count!("netsim.purification_rounds", rounds_done);
         if surfnet_telemetry::enabled() {
-            let key = dim::LabelKey::Link(fiber.a as u16, fiber.b as u16);
+            let key = dim::LabelKey::link(fiber.a, fiber.b);
             dim::counter_family("netsim.link.attempts").add(key, ticks);
             dim::counter_family("netsim.link.successes").add(key, pairs);
             dim::counter_family("netsim.link.purification_rounds").add(key, rounds_done);
@@ -512,6 +512,18 @@ mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "link endpoint 65536 does not fit its 16-bit LabelKey field")]
+    fn link_key_rejects_node_id_65536() {
+        // One past the 16-bit endpoint field of per-link metric labels.
+        let mut net = Network::new();
+        for _ in 0..=65_536 {
+            net.add_node(NodeKind::Switch, 1);
+        }
+        let f = net.add_fiber(1, 65_536, 0.9, 1, 0.0).unwrap();
+        link_key(&net, f);
     }
 
     #[test]

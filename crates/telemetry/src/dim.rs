@@ -59,6 +59,35 @@ const TAG_DISTANCE: u64 = 4;
 const OVERFLOW_CODE: u64 = u64::MAX;
 
 impl LabelKey {
+    /// The [`LabelKey::Link`] of a fiber between node ids `a` and `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node id does not fit the 16-bit endpoint field (ids
+    /// ≥ 65,536): truncating it would silently merge distinct links into
+    /// one series.
+    pub fn link(a: usize, b: usize) -> LabelKey {
+        LabelKey::Link(fit(a, "link endpoint"), fit(b, "link endpoint"))
+    }
+
+    /// The [`LabelKey::Segment`] of route segment `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in 32 bits.
+    pub fn segment(index: usize) -> LabelKey {
+        LabelKey::Segment(fit(index, "segment index"))
+    }
+
+    /// The [`LabelKey::Distance`] of surface-code distance `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` does not fit in 16 bits.
+    pub fn distance(d: usize) -> LabelKey {
+        LabelKey::Distance(fit(d, "code distance"))
+    }
+
     fn encode(self) -> u64 {
         match self {
             LabelKey::Link(a, b) => {
@@ -70,6 +99,16 @@ impl LabelKey {
             LabelKey::Distance(d) => (TAG_DISTANCE << 56) | d as u64,
         }
     }
+}
+
+/// Narrows a label component to its field width, panicking on overflow.
+fn fit<T: TryFrom<usize>>(value: usize, what: &str) -> T {
+    T::try_from(value).unwrap_or_else(|_| {
+        panic!(
+            "{what} {value} does not fit its {}-bit LabelKey field",
+            8 * std::mem::size_of::<T>()
+        )
+    })
 }
 
 /// Renders an encoded label key the way exports spell it: `lo-hi` for
@@ -498,6 +537,30 @@ mod tests {
             .find(|f| f.name == name)
             .unwrap_or_else(|| panic!("family {name} missing"))
             .clone()
+    }
+
+    #[test]
+    fn checked_constructors_keep_in_range_labels() {
+        assert_eq!(LabelKey::link(65_535, 3), LabelKey::Link(65_535, 3));
+        assert_eq!(LabelKey::distance(15), LabelKey::Distance(15));
+        assert_eq!(
+            LabelKey::segment(u32::MAX as usize),
+            LabelKey::Segment(u32::MAX)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "link endpoint 65536 does not fit its 16-bit LabelKey field")]
+    fn link_rejects_node_id_65536() {
+        // `65_536 as u16` is 0: the unchecked cast aliased link 0-65536
+        // with link 0-0.
+        LabelKey::link(0, 65_536);
+    }
+
+    #[test]
+    #[should_panic(expected = "code distance 65536 does not fit its 16-bit LabelKey field")]
+    fn distance_rejects_out_of_range() {
+        LabelKey::distance(65_536);
     }
 
     #[test]

@@ -1071,8 +1071,11 @@ mod tests {
 
     #[test]
     fn env_mode_parsing() {
-        // Do not set the env var (tests run in parallel); exercise the
-        // default path only.
+        // init_from_env flips the global enable flag, so it runs under the
+        // same lock as every other test that reads or flips it. Do not set
+        // the env var (tests run in parallel); exercise the default path
+        // only.
+        let _g = telemetry_test_guard();
         std::env::remove_var("SURFNET_TELEMETRY");
         assert_eq!(Telemetry::init_from_env(), Mode::Off);
         assert!(!enabled());

@@ -272,7 +272,10 @@ mod tests {
 
     #[test]
     fn disabled_scopes_are_inert() {
+        // Scopes go live when either telemetry or the journal records, so
+        // hold both locks: a concurrent journal test enables the latter.
         let _g = crate::telemetry_test_guard();
+        let _jg = journal::test_guard();
         let _t = crate::Telemetry::disabled();
         let trial = trial_scope();
         let stage = scope(Stage::Gen);
