@@ -1,4 +1,4 @@
-//! Streaming discrete-event simulation engine (ROADMAP item 2).
+//! Streaming discrete-event simulation engine.
 //!
 //! The tick engines ([`crate::execution::execute_plan`],
 //! [`crate::concurrent::execute_concurrently`]) replay one static batch of
@@ -25,6 +25,10 @@
 //!   [`StreamConfig::max_defers`] times and then dropped, with drops
 //!   counted per reason in the `netsim.stream.*` metrics and per blocking
 //!   link in the `netsim.stream.link.dropped` family.
+//! * **Plan once** — one [`RoutePlanner`] serves the whole run, and each
+//!   request is routed and footprinted at its first offer only; a
+//!   deferred re-offer carries that plan, since the topology cannot change
+//!   during a run.
 //!
 //! Latency and failure accounting follow the unified contract documented
 //! on [`ExecutionConfig::max_ticks`] and
@@ -32,10 +36,11 @@
 
 use crate::entanglement::core_segment_fidelity;
 use crate::execution::{
-    recover_route, ExecutionConfig, ExecutionOutcome, PlannedSegment, SegmentOutcome, TransferPlan,
+    recover_route, ExecutionConfig, ExecutionOutcome, SegmentOutcome, TransferPlan,
 };
+use crate::planner::{Footprint, RoutePlanner};
 use crate::request::Request;
-use crate::topology::{FiberId, Network, NodeId, NodeKind};
+use crate::topology::Network;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use surfnet_telemetry::dim;
@@ -468,73 +473,11 @@ pub fn execute_plan_event<R: Rng + ?Sized>(
 /// Plans a request SurfNet-style: the minimum-noise route, split into
 /// segments at each intermediate server (where error correction runs).
 /// Returns `None` for unroutable endpoint pairs.
+///
+/// A one-shot [`RoutePlanner::plan`]; to plan many requests on one
+/// network, build the planner once.
 pub fn plan_request(net: &Network, request: &Request) -> Option<TransferPlan> {
-    let route = net.min_noise_path(request.src, request.dst)?;
-    let nodes = net.walk(request.src, &route);
-    let mut segments = Vec::new();
-    let mut seg_fibers: Vec<FiberId> = Vec::new();
-    for (i, &f) in route.iter().enumerate() {
-        seg_fibers.push(f);
-        let reached = nodes[i + 1];
-        let last = i + 1 == route.len();
-        let at_server = net.node(reached).kind == NodeKind::Server;
-        if last || at_server {
-            segments.push(PlannedSegment {
-                core_route: Some(seg_fibers.clone()),
-                support_route: seg_fibers.clone(),
-                correct_at_end: at_server,
-            });
-            seg_fibers.clear();
-        }
-    }
-    Some(TransferPlan {
-        src: request.src,
-        dst: request.dst,
-        segments,
-    })
-}
-
-/// The memory/pool footprint of an admitted transfer: `num_codes` slots
-/// on each distinct relay its routes visit, and `num_codes` pairs of
-/// headroom on each distinct core-route fiber.
-struct Footprint {
-    nodes: Vec<NodeId>,
-    fibers: Vec<FiberId>,
-    weight: u32,
-}
-
-fn footprint(net: &Network, plan: &TransferPlan, weight: u32) -> Footprint {
-    let mut node_seen = vec![false; net.num_nodes()];
-    let mut fiber_seen = vec![false; net.num_fibers()];
-    let mut nodes = Vec::new();
-    let mut fibers = Vec::new();
-    let mut cursor = plan.src;
-    for seg in &plan.segments {
-        for &v in net.walk(cursor, &seg.support_route).iter() {
-            if net.node(v).kind.is_relay() && !node_seen[v] {
-                node_seen[v] = true;
-                nodes.push(v);
-            }
-        }
-        if let Some(core) = &seg.core_route {
-            for &f in core {
-                if !fiber_seen[f] {
-                    fiber_seen[f] = true;
-                    fibers.push(f);
-                }
-            }
-        }
-        cursor = net
-            .walk(cursor, &seg.support_route)
-            .last()
-            .copied()
-            .unwrap_or(cursor);
-    }
-    Footprint {
-        nodes,
-        fibers,
-        weight,
-    }
+    RoutePlanner::new(net).plan(request)
 }
 
 /// An event in the streaming simulation.
@@ -542,19 +485,27 @@ enum Ev {
     /// The next open-process arrival; the request is sampled on pop so
     /// RNG consumption follows event order.
     Arrival,
-    /// A concrete request offered for admission (trace entries and
-    /// deferred re-offers).
+    /// A trace entry arriving for its first offer.
     Offer {
         /// The offered request.
         request: Request,
-        /// How many times it has been deferred already.
-        defers: u32,
     },
+    /// A deferred request re-offered for admission.
+    Retry(Pending),
     /// An admitted transfer leaving the network.
     Departure {
         /// Index into the active-transfer table.
         id: usize,
     },
+}
+
+/// A routed request awaiting admission: its plan and footprint are
+/// computed at the first offer and kept across deferrals.
+struct Pending {
+    plan: TransferPlan,
+    footprint: Footprint,
+    /// How many times it has been deferred already.
+    defers: u32,
 }
 
 /// An admitted transfer awaiting departure.
@@ -588,61 +539,59 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
         ArrivalProcess::Trace(_) => None,
     };
 
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+    let mut sim = Sim {
+        net,
+        config,
+        planner: RoutePlanner::new(net),
+        queue: EventQueue::new(),
+        node_in_use: vec![0; net.num_nodes()],
+        fiber_in_use: vec![0; net.num_fibers()],
+        // Per-link drop tallies for the dim family; sized zero with
+        // telemetry off so the admission path skips the bookkeeping.
+        link_drops: vec![
+            0;
+            if surfnet_telemetry::enabled() {
+                net.num_fibers()
+            } else {
+                0
+            }
+        ],
+        active: Vec::new(),
+        stats: StreamStats {
+            arrivals: 0,
+            admitted: 0,
+            completed: 0,
+            failed: 0,
+            deferred: 0,
+            dropped_unroutable: 0,
+            dropped_capacity: 0,
+            dropped_pool: 0,
+            end_time: 0,
+            latencies: Vec::new(),
+        },
+    };
     if let Some(rate) = poisson_rate {
         let gap = geometric(rng, rate);
         if gap <= config.horizon {
-            queue.push(gap, Ev::Arrival);
+            sim.queue.push(gap, Ev::Arrival);
         }
     } else if let ArrivalProcess::Trace(entries) = &config.arrival {
         for (t, request) in entries {
             if *t <= config.horizon {
-                queue.push(
-                    *t,
-                    Ev::Offer {
-                        request: *request,
-                        defers: 0,
-                    },
-                );
+                sim.queue.push(*t, Ev::Offer { request: *request });
             }
         }
     }
 
-    let mut node_in_use = vec![0u32; net.num_nodes()];
-    let mut fiber_in_use = vec![0u32; net.num_fibers()];
-    // Per-link drop tallies for the dim family; sized zero with telemetry
-    // off so the admission path skips the bookkeeping.
-    let mut link_drops = vec![
-        0u64;
-        if surfnet_telemetry::enabled() {
-            net.num_fibers()
-        } else {
-            0
-        }
-    ];
-    let mut active: Vec<Active> = Vec::new();
-    let mut stats = StreamStats {
-        arrivals: 0,
-        admitted: 0,
-        completed: 0,
-        failed: 0,
-        deferred: 0,
-        dropped_unroutable: 0,
-        dropped_capacity: 0,
-        dropped_pool: 0,
-        end_time: 0,
-        latencies: Vec::new(),
-    };
-
-    while let Some((now, ev)) = queue.pop() {
-        stats.end_time = stats.end_time.max(now);
+    while let Some((now, ev)) = sim.queue.pop() {
+        sim.stats.end_time = sim.stats.end_time.max(now);
         match ev {
             Ev::Arrival => {
                 // Only the Poisson init path schedules `Arrival` events.
                 let rate = poisson_rate.unwrap_or(1.0);
                 let gap = geometric(rng, rate);
                 if now.saturating_add(gap) <= config.horizon {
-                    queue.push(now + gap, Ev::Arrival);
+                    sim.queue.push(now + gap, Ev::Arrival);
                 }
                 let src = users[rng.gen_range(0..users.len())];
                 let dst = loop {
@@ -653,55 +602,20 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
                 };
                 let request =
                     Request::new(src, dst, rng.gen_range(1..=config.max_codes_per_request));
-                offer(
-                    net,
-                    config,
-                    rng,
-                    &mut queue,
-                    &mut node_in_use,
-                    &mut fiber_in_use,
-                    &mut link_drops,
-                    &mut active,
-                    &mut stats,
-                    now,
-                    request,
-                    0,
-                );
+                sim.arrive(rng, now, request);
             }
-            Ev::Offer { request, defers } => {
-                offer(
-                    net,
-                    config,
-                    rng,
-                    &mut queue,
-                    &mut node_in_use,
-                    &mut fiber_in_use,
-                    &mut link_drops,
-                    &mut active,
-                    &mut stats,
-                    now,
-                    request,
-                    defers,
-                );
-            }
-            Ev::Departure { id } => {
-                let t = &active[id];
-                for &v in &t.footprint.nodes {
-                    node_in_use[v] -= t.footprint.weight;
-                }
-                for &f in &t.footprint.fibers {
-                    fiber_in_use[f] -= t.footprint.weight;
-                }
-                if t.completed {
-                    stats.completed += 1;
-                    stats.latencies.push(t.latency);
-                } else {
-                    stats.failed += 1;
-                }
-            }
+            Ev::Offer { request } => sim.arrive(rng, now, request),
+            Ev::Retry(pending) => sim.offer(rng, now, pending),
+            Ev::Departure { id } => sim.depart(id),
         }
     }
 
+    let Sim {
+        planner,
+        link_drops,
+        stats,
+        ..
+    } = sim;
     surfnet_telemetry::count!("netsim.stream.arrivals", stats.arrivals);
     surfnet_telemetry::count!("netsim.stream.admitted", stats.admitted);
     surfnet_telemetry::count!("netsim.stream.completed", stats.completed);
@@ -710,6 +624,8 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
     surfnet_telemetry::count!("netsim.stream.dropped.unroutable", stats.dropped_unroutable);
     surfnet_telemetry::count!("netsim.stream.dropped.capacity", stats.dropped_capacity);
     surfnet_telemetry::count!("netsim.stream.dropped.pool", stats.dropped_pool);
+    surfnet_telemetry::count!("netsim.stream.plans", planner.plans());
+    surfnet_telemetry::count!("netsim.stream.relaxations", planner.relaxations());
     if !link_drops.is_empty() {
         let fam = dim::counter_family("netsim.stream.link.dropped");
         for (f, &n) in link_drops.iter().enumerate() {
@@ -730,89 +646,120 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
     stats
 }
 
-/// Handles one admission offer: plan, check capacity, defer/drop/admit.
-#[allow(clippy::too_many_arguments)] // internal event-dispatch plumbing
-fn offer<R: Rng + ?Sized>(
-    net: &Network,
-    config: &StreamConfig,
-    rng: &mut R,
-    queue: &mut EventQueue<Ev>,
-    node_in_use: &mut [u32],
-    fiber_in_use: &mut [u32],
-    link_drops: &mut [u64],
-    active: &mut Vec<Active>,
-    stats: &mut StreamStats,
-    now: u64,
-    request: Request,
-    defers: u32,
-) {
-    if defers == 0 {
-        stats.arrivals += 1;
+/// The state of one streaming run.
+struct Sim<'a> {
+    net: &'a Network,
+    config: &'a StreamConfig,
+    planner: RoutePlanner<'a>,
+    queue: EventQueue<Ev>,
+    node_in_use: Vec<u32>,
+    fiber_in_use: Vec<u32>,
+    link_drops: Vec<u64>,
+    active: Vec<Active>,
+    stats: StreamStats,
+}
+
+impl Sim<'_> {
+    /// A request's first offer: counts the arrival, plans and footprints
+    /// it (the only time it is routed), then offers it for admission.
+    fn arrive<R: Rng + ?Sized>(&mut self, rng: &mut R, now: u64, request: Request) {
+        self.stats.arrivals += 1;
+        let Some(plan) = self.planner.plan(&request) else {
+            self.stats.dropped_unroutable += 1;
+            return;
+        };
+        let footprint = self.planner.footprint(&plan, request.num_codes);
+        self.offer(
+            rng,
+            now,
+            Pending {
+                plan,
+                footprint,
+                defers: 0,
+            },
+        );
     }
-    let Some(plan) = plan_request(net, &request) else {
-        stats.dropped_unroutable += 1;
-        return;
-    };
-    let fp = footprint(net, &plan, request.num_codes);
-    // First saturated resource decides the blocking reason: relay memory
-    // before fiber pools (memory admits fewer concurrent codes and is the
-    // paper's primary capacity constraint).
-    let blocked_node = fp
-        .nodes
-        .iter()
-        .copied()
-        .find(|&v| node_in_use[v] + fp.weight > net.node(v).capacity);
-    let blocked_fiber = fp
-        .fibers
-        .iter()
-        .copied()
-        .find(|&f| fiber_in_use[f] + fp.weight > net.fiber(f).entanglement_capacity);
-    if blocked_node.is_some() || blocked_fiber.is_some() {
-        if defers < config.max_defers {
-            stats.deferred += 1;
-            queue.push(
-                now + config.defer_ticks.max(1),
-                Ev::Offer {
-                    request,
-                    defers: defers + 1,
-                },
-            );
-        } else if blocked_node.is_some() {
-            stats.dropped_capacity += 1;
-        } else {
-            stats.dropped_pool += 1;
-            if let Some(f) = blocked_fiber {
-                if !link_drops.is_empty() {
-                    link_drops[f] += 1;
+
+    /// One admission offer: check capacity, then defer, drop, or admit.
+    fn offer<R: Rng + ?Sized>(&mut self, rng: &mut R, now: u64, pending: Pending) {
+        let fp = &pending.footprint;
+        // First saturated resource decides the blocking reason: relay
+        // memory before fiber pools (memory admits fewer concurrent codes
+        // and is the paper's primary capacity constraint).
+        let blocked_node = fp
+            .nodes
+            .iter()
+            .any(|&v| self.node_in_use[v] + fp.weight > self.net.node(v).capacity);
+        let blocked_fiber =
+            fp.fibers.iter().copied().find(|&f| {
+                self.fiber_in_use[f] + fp.weight > self.net.fiber(f).entanglement_capacity
+            });
+        if blocked_node || blocked_fiber.is_some() {
+            if pending.defers < self.config.max_defers {
+                self.stats.deferred += 1;
+                self.queue.push(
+                    now + self.config.defer_ticks.max(1),
+                    Ev::Retry(Pending {
+                        defers: pending.defers + 1,
+                        ..pending
+                    }),
+                );
+            } else if blocked_node {
+                self.stats.dropped_capacity += 1;
+            } else {
+                self.stats.dropped_pool += 1;
+                if let Some(f) = blocked_fiber {
+                    if !self.link_drops.is_empty() {
+                        self.link_drops[f] += 1;
+                    }
                 }
             }
+            return;
         }
-        return;
+        // Admit: reserve the footprint and execute event-analytically.
+        for &v in &fp.nodes {
+            self.node_in_use[v] += fp.weight;
+        }
+        for &f in &fp.fibers {
+            self.fiber_in_use[f] += fp.weight;
+        }
+        self.stats.admitted += 1;
+        let outcome = execute_plan_event(self.net, &pending.plan, &self.config.exec, rng);
+        let id = self.active.len();
+        self.active.push(Active {
+            footprint: pending.footprint,
+            completed: outcome.completed,
+            latency: outcome.latency,
+        });
+        // Resources are held for the transfer's whole dwell time (failed
+        // transfers still occupied the network while they tried).
+        self.queue
+            .push(now + outcome.latency.max(1), Ev::Departure { id });
     }
-    // Admit: reserve the footprint and execute event-analytically.
-    for &v in &fp.nodes {
-        node_in_use[v] += fp.weight;
+
+    /// An admitted transfer leaves: release its footprint and tally it.
+    fn depart(&mut self, id: usize) {
+        let t = &self.active[id];
+        for &v in &t.footprint.nodes {
+            self.node_in_use[v] -= t.footprint.weight;
+        }
+        for &f in &t.footprint.fibers {
+            self.fiber_in_use[f] -= t.footprint.weight;
+        }
+        if t.completed {
+            self.stats.completed += 1;
+            self.stats.latencies.push(t.latency);
+        } else {
+            self.stats.failed += 1;
+        }
     }
-    for &f in &fp.fibers {
-        fiber_in_use[f] += fp.weight;
-    }
-    stats.admitted += 1;
-    let outcome = execute_plan_event(net, &plan, &config.exec, rng);
-    let id = active.len();
-    active.push(Active {
-        footprint: fp,
-        completed: outcome.completed,
-        latency: outcome.latency,
-    });
-    // Resources are held for the transfer's whole dwell time (failed
-    // transfers still occupied the network while they tried).
-    queue.push(now + outcome.latency.max(1), Ev::Departure { id });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::execution::execute_plan;
+    use crate::topology::NodeKind;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

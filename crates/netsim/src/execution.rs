@@ -336,13 +336,11 @@ pub(crate) fn recover_route(
     for &f in route {
         let next = net.fiber(f).other(cur);
         if failed[f] {
-            let detour = net.shortest_path_by(cur, next, |fb| {
-                // analyzer:allow(panic-site): fb is yielded by iterating the network's own fibers, so the reverse lookup always succeeds
-                let id = net.fiber_between(fb.a, fb.b).expect("fiber exists");
-                if failed[id] {
+            let detour = net.shortest_path_by(cur, next, |d| {
+                if failed[d] {
                     f64::INFINITY
                 } else {
-                    fb.noise() + 1e-6
+                    net.fiber(d).noise() + 1e-6
                 }
             })?;
             if detour.iter().any(|&d| failed[d]) {

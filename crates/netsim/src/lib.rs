@@ -19,6 +19,10 @@
 //!   binary-heap event queue, open Poisson / trace-driven arrivals,
 //!   per-link batched (geometric) entanglement sampling, and admission
 //!   control with backpressure against relay memory and fiber pools;
+//! * [`planner`] — minimum-noise route planning: the one Dijkstra kernel
+//!   behind [`Network::shortest_path_by`], and a reusable
+//!   [`planner::RoutePlanner`] (precomputed fiber noise, flat adjacency,
+//!   recycled scratch) that the streaming engine builds once per run;
 //! * [`request`] — communication requests `k = [(s_k, d_k), i_k]`.
 //!
 //! # Examples
@@ -56,6 +60,7 @@ pub mod entanglement;
 pub mod event;
 pub mod execution;
 pub mod generate;
+pub mod planner;
 pub mod request;
 pub mod topology;
 

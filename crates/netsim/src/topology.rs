@@ -230,14 +230,6 @@ impl Network {
         &self.adj[v]
     }
 
-    /// The fiber joining `a` and `b`, if any.
-    pub fn fiber_between(&self, a: NodeId, b: NodeId) -> Option<FiberId> {
-        self.adj.get(a)?.iter().copied().find(|&f| {
-            let fb = &self.fibers[f];
-            (fb.a == a && fb.b == b) || (fb.a == b && fb.b == a)
-        })
-    }
-
     /// Ids of all user nodes.
     pub fn users(&self) -> Vec<NodeId> {
         self.ids_of(|k| k == NodeKind::User)
@@ -283,9 +275,11 @@ impl Network {
     }
 
     /// Minimum-noise path from `src` to `dst` (Dijkstra over `μ` weights).
-    /// Returns the fiber sequence, or `None` if unreachable.
+    /// Returns the fiber sequence, or `None` if unreachable. To route many
+    /// requests on one network, build a [`crate::planner::RoutePlanner`]
+    /// once instead: it returns the same paths.
     pub fn min_noise_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
-        self.shortest_path_by(src, dst, |f| f.noise())
+        self.shortest_path_by(src, dst, |f| self.fibers[f].noise())
     }
 
     /// Minimum-hop path from `src` to `dst`.
@@ -293,7 +287,9 @@ impl Network {
         self.shortest_path_by(src, dst, |_| 1.0)
     }
 
-    /// Dijkstra with a custom non-negative fiber cost.
+    /// Dijkstra with a custom non-negative cost per fiber id; a fiber of
+    /// infinite cost is never crossed. Among equal-cost routes the choice
+    /// is deterministic and shared with [`crate::planner::RoutePlanner`].
     ///
     /// # Panics
     ///
@@ -302,51 +298,9 @@ impl Network {
         &self,
         src: NodeId,
         dst: NodeId,
-        cost: impl Fn(&Fiber) -> f64,
+        cost: impl Fn(FiberId) -> f64,
     ) -> Option<Vec<FiberId>> {
-        assert!(src < self.num_nodes() && dst < self.num_nodes());
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let n = self.num_nodes();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut via = vec![usize::MAX; n];
-        let mut heap: BinaryHeap<(Reverse<u64>, NodeId)> = BinaryHeap::new();
-        // Order keys as bit-converted floats: all costs non-negative/finite.
-        let key = |d: f64| Reverse(d.to_bits());
-        dist[src] = 0.0;
-        heap.push((key(0.0), src));
-        while let Some((Reverse(bits), v)) = heap.pop() {
-            let d = f64::from_bits(bits);
-            if d > dist[v] {
-                continue;
-            }
-            if v == dst {
-                break;
-            }
-            for &f in &self.adj[v] {
-                let u = self.fibers[f].other(v);
-                let c = cost(&self.fibers[f]);
-                debug_assert!(c >= 0.0, "negative fiber cost");
-                let nd = d + c;
-                if nd < dist[u] {
-                    dist[u] = nd;
-                    via[u] = f;
-                    heap.push((key(nd), u));
-                }
-            }
-        }
-        if dist[dst].is_infinite() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut v = dst;
-        while v != src {
-            let f = via[v];
-            path.push(f);
-            v = self.fibers[f].other(v);
-        }
-        path.reverse();
-        Some(path)
+        crate::planner::shortest_path(self, src, dst, cost)
     }
 
     /// The end-to-end fidelity of traversing `path` once: `Π γᵢ`.
@@ -466,13 +420,5 @@ mod tests {
         assert!(!net.is_connected());
         net.add_fiber(lonely, 0, 0.9, 1, 0.0).unwrap();
         assert!(net.is_connected());
-    }
-
-    #[test]
-    fn fiber_between_finds_either_direction() {
-        let net = sample();
-        assert_eq!(net.fiber_between(0, 1), Some(0));
-        assert_eq!(net.fiber_between(1, 0), Some(0));
-        assert_eq!(net.fiber_between(1, 3), None);
     }
 }

@@ -72,6 +72,8 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("netsim.stream.dropped.unroutable", MetricKind::Counter),
     ("netsim.stream.failed", MetricKind::Counter),
     ("netsim.stream.link.dropped", MetricKind::Family),
+    ("netsim.stream.plans", MetricKind::Counter),
+    ("netsim.stream.relaxations", MetricKind::Counter),
     ("netsim.stream.request_latency", MetricKind::Timer),
     ("netsim.stream.simulate", MetricKind::Timer),
     ("pipeline.evaluate", MetricKind::Timer),
