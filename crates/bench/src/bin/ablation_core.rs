@@ -11,17 +11,20 @@ use rand::SeedableRng;
 use surfnet_bench::{
     arg_or, args, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
 };
-use surfnet_decoder::{Decoder, SurfNetDecoder};
-use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
+use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder};
+use surfnet_lattice::{CoreTopology, ErrorModel, ErrorSample, SurfaceCode};
 use surfnet_telemetry::json::Value;
 
 fn rate(code: &SurfaceCode, model: &ErrorModel, trials: usize, seed: u64) -> f64 {
     let decoder = SurfNetDecoder::from_model(code, model);
     let mut rng = SmallRng::seed_from_u64(seed);
+    let mut ws = DecodeWorkspace::new();
+    let mut sample = ErrorSample::clean(0);
     let failures = (0..trials)
         .filter(|_| {
+            model.sample_into(&mut rng, &mut sample);
             !decoder
-                .decode_sample(code, &model.sample(&mut rng))
+                .decode_sample_with(code, &sample, &mut ws)
                 .is_success()
         })
         .count();

@@ -9,8 +9,8 @@ use rand::SeedableRng;
 use surfnet_bench::{
     arg_or, args, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
 };
-use surfnet_decoder::{Decoder, SurfNetDecoder};
-use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
+use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder};
+use surfnet_lattice::{CoreTopology, ErrorModel, ErrorSample, SurfaceCode};
 use surfnet_telemetry::json::Value;
 use surfnet_telemetry::Telemetry;
 
@@ -30,14 +30,17 @@ fn main() {
     println!("step-size ablation: d={distance}, pauli 7%, erasure 15%, {trials} trials");
     let mut prev_total_ns = 0u64;
     let mut metrics = Vec::new();
+    let mut ws = DecodeWorkspace::new();
+    let mut sample = ErrorSample::clean(0);
     for r in [0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 1.5] {
         let decoder = SurfNetDecoder::with_step(&code, &model, r);
         let mut rng = SmallRng::seed_from_u64(23);
         let failures = trial_timer.time(|| {
             (0..trials)
                 .filter(|_| {
+                    model.sample_into(&mut rng, &mut sample);
                     !decoder
-                        .decode_sample(&code, &model.sample(&mut rng))
+                        .decode_sample_with(&code, &sample, &mut ws)
                         .is_success()
                 })
                 .count()

@@ -10,8 +10,8 @@ use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use surfnet_decoder::{Decoder, SurfNetDecoder, UnionFindDecoder};
-use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
+use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder, UnionFindDecoder};
+use surfnet_lattice::{CoreTopology, DecodeOutcome, ErrorModel, ErrorSample, SurfaceCode};
 
 /// One measured point of the threshold plot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,6 +51,12 @@ pub fn paper_rates() -> Vec<f64> {
 pub const ERASURE_RATE: f64 = 0.15;
 
 /// Measures one decoder over the grid.
+///
+/// # Panics
+///
+/// Panics if `trials` is zero or `distances` / `rates` is empty: such a
+/// grid has no logical error rate to report (it used to render `NaN`
+/// rates and "no crossing").
 pub fn run(
     decoder: DecoderKind,
     distances: &[usize],
@@ -59,6 +65,9 @@ pub fn run(
     trials: usize,
     base_seed: u64,
 ) -> ThresholdCurves {
+    assert!(trials > 0, "fig8: trials must be at least 1 (got 0)");
+    assert!(!distances.is_empty(), "fig8: no code distances to sweep");
+    assert!(!rates.is_empty(), "fig8: no Pauli rates to sweep");
     let grid: Vec<(usize, f64)> = distances
         .iter()
         .flat_map(|&d| rates.iter().map(move |&p| (d, p)))
@@ -109,17 +118,36 @@ fn count_failures(
     match decoder {
         DecoderKind::SurfNet => {
             let d = SurfNetDecoder::from_model(&code, &model);
-            (0..trials)
-                .filter(|_| !d.decode_sample(&code, &model.sample(&mut rng)).is_success())
-                .count()
+            count_shot_failures(&model, &mut rng, trials, |sample, ws| {
+                d.decode_sample_with(&code, sample, ws)
+            })
         }
         DecoderKind::UnionFind => {
             let d = UnionFindDecoder::from_model(&code, &model);
-            (0..trials)
-                .filter(|_| !d.decode_sample(&code, &model.sample(&mut rng)).is_success())
-                .count()
+            count_shot_failures(&model, &mut rng, trials, |sample, ws| {
+                d.decode_sample_with(&code, sample, ws)
+            })
         }
     }
+}
+
+/// The shot loop of one grid point: one sample and one decode workspace,
+/// refilled every shot, so the loop stops allocating once their buffers
+/// reach their high-water mark.
+fn count_shot_failures(
+    model: &ErrorModel,
+    rng: &mut SmallRng,
+    trials: usize,
+    mut decode: impl FnMut(&ErrorSample, &mut DecodeWorkspace) -> DecodeOutcome,
+) -> usize {
+    let mut ws = DecodeWorkspace::new();
+    let mut sample = ErrorSample::clean(0);
+    (0..trials)
+        .filter(|_| {
+            model.sample_into(rng, &mut sample);
+            !decode(&sample, &mut ws).is_success()
+        })
+        .count()
 }
 
 /// Estimates the threshold as the mean crossing point of adjacent-distance
@@ -221,6 +249,24 @@ mod tests {
         let curves = run(DecoderKind::UnionFind, &[5], &[0.01, 0.12], 0.10, 60, 3000);
         assert_eq!(curves.points.len(), 2);
         assert!(curves.points[0].logical_error_rate < curves.points[1].logical_error_rate);
+    }
+
+    #[test]
+    #[should_panic(expected = "trials must be at least 1")]
+    fn zero_trials_rejected() {
+        run(DecoderKind::UnionFind, &[5], &[0.06], 0.1, 0, 3000);
+    }
+
+    #[test]
+    #[should_panic(expected = "no code distances")]
+    fn empty_distances_rejected() {
+        run(DecoderKind::SurfNet, &[], &[0.06], 0.1, 10, 3000);
+    }
+
+    #[test]
+    #[should_panic(expected = "no Pauli rates")]
+    fn empty_rates_rejected() {
+        run(DecoderKind::SurfNet, &[5], &[], 0.1, 10, 3000);
     }
 
     #[test]

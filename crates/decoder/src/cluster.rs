@@ -17,8 +17,9 @@ use crate::DecoderError;
 #[derive(Debug, Clone)]
 pub struct GrowthConfig {
     /// Fractional growth added to a frontier edge per round per incident
-    /// odd cluster. The SurfNet decoder uses `−r / ln(1 − ρ)` (erasures
-    /// fastest); the Union-Find baseline uses a uniform half-edge speed.
+    /// odd cluster. The SurfNet decoder uses `−r / ln(1 − ρ)`; the
+    /// Union-Find baseline uses a uniform half-edge speed. Erased edges
+    /// start pre-grown, so their speed is never read.
     pub speeds: Vec<f64>,
     /// Edges that start fully grown. The Union-Find baseline pre-grows
     /// erased edges (the erasure initializes its clusters, after [32]).
@@ -225,10 +226,18 @@ pub fn grow_clusters_into(
         }
     }
 
+    // Candidate roots for the next round: every defect's root at first,
+    // then the current roots of last round's odd clusters. That covers
+    // every odd cluster — only odd clusters grow, so a cluster changes
+    // (by fusion) only when it absorbs one of them — without a `find`
+    // per defect per round.
     let mut rounds = 0usize;
+    roots.clear();
+    roots.extend_from_slice(defects);
     loop {
-        roots.clear();
-        roots.extend(defects.iter().map(|&d| uf.find(d)));
+        for r in roots.iter_mut() {
+            *r = uf.find(*r);
+        }
         roots.sort_unstable();
         roots.dedup();
         roots.retain(|&r| parity[r] % 2 == 1 && !touches_boundary[r]);

@@ -11,7 +11,7 @@ use crate::cluster::{grow_clusters_into, ClusterScratch};
 use crate::graph::{DecodingGraph, GraphKind};
 use crate::mwpm::decode_graph_mwpm_into;
 use crate::peeling::{peel_into, PeelScratch};
-use crate::weights::{growth_speed, DEFAULT_STEP_SIZE, ERASURE_FIDELITY};
+use crate::weights::{growth_speed, DEFAULT_STEP_SIZE};
 use crate::workspace::DecodeWorkspace;
 use crate::DecoderError;
 use surfnet_lattice::rotated::RotatedSurfaceCode;
@@ -69,6 +69,10 @@ pub trait Decoder {
     /// Convenience: extract the syndrome of `sample`, decode it, and score
     /// the correction against the hidden error.
     ///
+    /// This is the one allocating per-shot entry point. Shot loops use
+    /// the concrete decoders' `decode_sample_with`, which runs the same
+    /// kernel inside a reused [`DecodeWorkspace`].
+    ///
     /// # Panics
     ///
     /// Panics if decoding fails — used in simulation loops where the graphs
@@ -81,6 +85,45 @@ pub trait Decoder {
             .expect("decoding a well-formed surface code sample cannot fail");
         code.score_correction(&sample.pauli, &correction)
     }
+}
+
+/// The body of every `decode_sample_with`: extract the syndrome, take the
+/// trivial fast path or run `correct_into` (which leaves its correction in
+/// `ws.correction`), and score — all inside `ws`.
+fn decode_sample_in(
+    code: &SurfaceCode,
+    sample: &ErrorSample,
+    ws: &mut DecodeWorkspace,
+    correct_into: impl FnOnce(&Syndrome, &[bool], &mut DecodeWorkspace) -> Result<(), DecoderError>,
+) -> DecodeOutcome {
+    let mut syndrome = std::mem::take(&mut ws.syndrome);
+    code.extract_syndrome_into(&sample.pauli, &mut syndrome);
+    let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
+        fast
+    } else {
+        correct_into(&syndrome, &sample.erased, ws)
+            // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
+            .expect("decoding a well-formed surface code sample cannot fail");
+        // The shot's syndrome is spent; its buffer holds the residual's.
+        code.score_correction_into(
+            &sample.pauli,
+            &ws.correction,
+            &mut ws.residual,
+            &mut syndrome,
+        )
+    };
+    ws.syndrome = syndrome;
+    outcome
+}
+
+/// The body of every [`Decoder::decode`]: `correct_into` on a fresh
+/// workspace, handing back its correction.
+fn decode_fresh(
+    correct_into: impl FnOnce(&mut DecodeWorkspace) -> Result<(), DecoderError>,
+) -> Result<PauliString, DecoderError> {
+    let mut ws = DecodeWorkspace::new();
+    correct_into(&mut ws)?;
+    Ok(ws.correction)
 }
 
 /// Combines per-graph corrections into a Pauli string in place
@@ -163,25 +206,9 @@ impl MwpmDecoder {
         }
     }
 
-    /// Graph-level decoding: produces a correction from a syndrome and
-    /// per-qubit erasure flags, independent of the code family the graphs
-    /// were built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
-    }
-
-    /// [`Self::correction_for`] running entirely inside `ws` — no per-shot
-    /// allocations, bit-identical corrections.
+    /// Graph-level decoding inside `ws`: produces a correction from a
+    /// syndrome and per-qubit erasure flags, independent of the code
+    /// family the graphs were built from, with no per-shot allocations.
     ///
     /// # Errors
     ///
@@ -192,6 +219,31 @@ impl MwpmDecoder {
         erased: &[bool],
         ws: &'ws mut DecodeWorkspace,
     ) -> Result<&'ws PauliString, DecoderError> {
+        self.correct_into(syndrome, erased, ws)?;
+        Ok(&ws.correction)
+    }
+
+    /// [`Decoder::decode_sample`] running entirely inside `ws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if decoding fails (same contract as
+    /// [`Decoder::decode_sample`]).
+    pub fn decode_sample_with(
+        &self,
+        code: &SurfaceCode,
+        sample: &ErrorSample,
+        ws: &mut DecodeWorkspace,
+    ) -> DecodeOutcome {
+        decode_sample_in(code, sample, ws, |s, e, ws| self.correct_into(s, e, ws))
+    }
+
+    fn correct_into(
+        &self,
+        syndrome: &Syndrome,
+        erased: &[bool],
+        ws: &mut DecodeWorkspace,
+    ) -> Result<(), DecoderError> {
         let _span = surfnet_telemetry::span!("decoder.mwpm.decode");
         let DecodeWorkspace {
             mwpm,
@@ -213,34 +265,7 @@ impl MwpmDecoder {
             &self.primal,
             &self.dual,
         );
-        Ok(correction)
-    }
-
-    /// [`Decoder::decode_sample`] running entirely inside `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if decoding fails (same contract as
-    /// [`Decoder::decode_sample`]).
-    pub fn decode_sample_with(
-        &self,
-        code: &SurfaceCode,
-        sample: &ErrorSample,
-        ws: &mut DecodeWorkspace,
-    ) -> DecodeOutcome {
-        let mut syndrome = std::mem::take(&mut ws.syndrome);
-        code.extract_syndrome_into(&sample.pauli, &mut syndrome);
-        let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
-            fast
-        } else {
-            let correction = self
-                .correction_for_with(&syndrome, &sample.erased, ws)
-                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
-                .expect("decoding a well-formed surface code sample cannot fail");
-            code.score_correction(&sample.pauli, correction)
-        };
-        ws.syndrome = syndrome;
-        outcome
+        Ok(())
     }
 }
 
@@ -256,7 +281,102 @@ impl Decoder for MwpmDecoder {
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
         debug_assert_eq!(code.num_data_qubits(), self.num_qubits);
-        self.correction_for(syndrome, erased)
+        decode_fresh(|ws| self.correct_into(syndrome, erased, ws))
+    }
+}
+
+/// Which public decoder a [`GrowthDecoder`] backs; selects its telemetry
+/// span.
+#[derive(Debug, Clone, Copy)]
+enum GrowthKind {
+    UnionFind,
+    SurfNet,
+}
+
+/// Cluster growth + peeling over per-edge speed tables fixed at
+/// construction: the one body behind [`UnionFindDecoder`] and
+/// [`SurfNetDecoder`], which differ only in the speeds they build.
+///
+/// Erased edges are passed to growth as `pregrown`, so they start inside
+/// their clusters and are never on a frontier: their table speed is never
+/// read, and the table does not depend on the shot.
+#[derive(Debug, Clone)]
+struct GrowthDecoder {
+    kind: GrowthKind,
+    primal: DecodingGraph,
+    dual: DecodingGraph,
+    primal_speeds: Vec<f64>,
+    dual_speeds: Vec<f64>,
+    num_qubits: usize,
+}
+
+impl GrowthDecoder {
+    /// `speeds(graph)` builds one graph's per-edge speed table.
+    fn new(
+        kind: GrowthKind,
+        primal: DecodingGraph,
+        dual: DecodingGraph,
+        num_qubits: usize,
+        speeds: impl Fn(&DecodingGraph) -> Vec<f64>,
+    ) -> GrowthDecoder {
+        GrowthDecoder {
+            kind,
+            primal_speeds: speeds(&primal),
+            dual_speeds: speeds(&dual),
+            primal,
+            dual,
+            num_qubits,
+        }
+    }
+
+    fn correct_into(
+        &self,
+        syndrome: &Syndrome,
+        erased: &[bool],
+        ws: &mut DecodeWorkspace,
+    ) -> Result<(), DecoderError> {
+        let _span = match self.kind {
+            GrowthKind::UnionFind => surfnet_telemetry::span!("decoder.union_find.decode"),
+            GrowthKind::SurfNet => surfnet_telemetry::span!("decoder.surfnet.decode"),
+        };
+        let DecodeWorkspace {
+            cluster,
+            peel,
+            defects,
+            x_fix,
+            z_fix,
+            correction,
+            ..
+        } = ws;
+        syndrome_defects_into(&syndrome.z_flips, defects);
+        grow_and_peel(
+            &self.primal,
+            defects,
+            &self.primal_speeds,
+            erased,
+            cluster,
+            peel,
+            x_fix,
+        )?;
+        syndrome_defects_into(&syndrome.x_flips, defects);
+        grow_and_peel(
+            &self.dual,
+            defects,
+            &self.dual_speeds,
+            erased,
+            cluster,
+            peel,
+            z_fix,
+        )?;
+        assemble_correction_into(
+            correction,
+            self.num_qubits,
+            x_fix,
+            z_fix,
+            &self.primal,
+            &self.dual,
+        );
+        Ok(())
     }
 }
 
@@ -265,49 +385,47 @@ impl Decoder for MwpmDecoder {
 /// and the peeling decoder [39] for the final correction.
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
-    primal: DecodingGraph,
-    dual: DecodingGraph,
-    num_qubits: usize,
+    inner: GrowthDecoder,
 }
+
+/// Uniform half-edge growth (Delfosse–Nickerson).
+const UNION_FIND_SPEED: f64 = 0.5;
 
 impl UnionFindDecoder {
     /// Builds the decoder for `code`. The error model is accepted for
     /// interface symmetry; the plain Union-Find decoder ignores fidelity
     /// variations (that is exactly what the SurfNet decoder adds).
     pub fn from_model(code: &SurfaceCode, model: &ErrorModel) -> UnionFindDecoder {
-        UnionFindDecoder {
-            primal: DecodingGraph::from_code(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_code(code, model, GraphKind::Dual),
-            num_qubits: code.num_data_qubits(),
-        }
+        UnionFindDecoder::from_graphs(
+            DecodingGraph::from_code(code, model, GraphKind::Primal),
+            DecodingGraph::from_code(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
+        )
     }
 
     /// Builds the decoder for a rotated surface code.
     pub fn from_rotated(code: &RotatedSurfaceCode, model: &ErrorModel) -> UnionFindDecoder {
+        UnionFindDecoder::from_graphs(
+            DecodingGraph::from_rotated(code, model, GraphKind::Primal),
+            DecodingGraph::from_rotated(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
+        )
+    }
+
+    fn from_graphs(
+        primal: DecodingGraph,
+        dual: DecodingGraph,
+        num_qubits: usize,
+    ) -> UnionFindDecoder {
         UnionFindDecoder {
-            primal: DecodingGraph::from_rotated(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_rotated(code, model, GraphKind::Dual),
-            num_qubits: code.num_data_qubits(),
+            inner: GrowthDecoder::new(GrowthKind::UnionFind, primal, dual, num_qubits, |graph| {
+                vec![UNION_FIND_SPEED; graph.num_edges()]
+            }),
         }
     }
 
-    /// Graph-level decoding (see [`MwpmDecoder::correction_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
-    }
-
-    /// [`Self::correction_for`] running entirely inside `ws` — no per-shot
-    /// allocations, bit-identical corrections.
+    /// Graph-level decoding inside `ws` (see
+    /// [`MwpmDecoder::correction_for_with`]).
     ///
     /// # Errors
     ///
@@ -318,36 +436,8 @@ impl UnionFindDecoder {
         erased: &[bool],
         ws: &'ws mut DecodeWorkspace,
     ) -> Result<&'ws PauliString, DecoderError> {
-        let _span = surfnet_telemetry::span!("decoder.union_find.decode");
-        let DecodeWorkspace {
-            cluster,
-            peel,
-            defects,
-            speeds,
-            x_fix,
-            z_fix,
-            correction,
-            ..
-        } = ws;
-        // Uniform half-edge growth on both graphs (Delfosse–Nickerson);
-        // erased edges pre-seed the clusters.
-        syndrome_defects_into(&syndrome.z_flips, defects);
-        speeds.clear();
-        speeds.resize(self.primal.num_edges(), 0.5);
-        grow_and_peel(&self.primal, defects, speeds, erased, cluster, peel, x_fix)?;
-        syndrome_defects_into(&syndrome.x_flips, defects);
-        speeds.clear();
-        speeds.resize(self.dual.num_edges(), 0.5);
-        grow_and_peel(&self.dual, defects, speeds, erased, cluster, peel, z_fix)?;
-        assemble_correction_into(
-            correction,
-            self.num_qubits,
-            x_fix,
-            z_fix,
-            &self.primal,
-            &self.dual,
-        );
-        Ok(correction)
+        self.inner.correct_into(syndrome, erased, ws)?;
+        Ok(&ws.correction)
     }
 
     /// [`Decoder::decode_sample`] running entirely inside `ws`.
@@ -362,19 +452,9 @@ impl UnionFindDecoder {
         sample: &ErrorSample,
         ws: &mut DecodeWorkspace,
     ) -> DecodeOutcome {
-        let mut syndrome = std::mem::take(&mut ws.syndrome);
-        code.extract_syndrome_into(&sample.pauli, &mut syndrome);
-        let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
-            fast
-        } else {
-            let correction = self
-                .correction_for_with(&syndrome, &sample.erased, ws)
-                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
-                .expect("decoding a well-formed surface code sample cannot fail");
-            code.score_correction(&sample.pauli, correction)
-        };
-        ws.syndrome = syndrome;
-        outcome
+        decode_sample_in(code, sample, ws, |s, e, ws| {
+            self.inner.correct_into(s, e, ws)
+        })
     }
 }
 
@@ -389,21 +469,25 @@ impl Decoder for UnionFindDecoder {
         syndrome: &Syndrome,
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
-        debug_assert_eq!(code.num_data_qubits(), self.num_qubits);
-        self.correction_for(syndrome, erased)
+        debug_assert_eq!(code.num_data_qubits(), self.inner.num_qubits);
+        decode_fresh(|ws| self.inner.correct_into(syndrome, erased, ws))
     }
 }
 
 /// The SurfNet Decoder (Algorithm 2): weighted cluster growth at speed
-/// `−r / ln(1 − ρᵢ)` per edge — fastest on erasures (`ρ = 0.5`), faster on
-/// the Support part than the Core part — followed by spanning-forest
-/// peeling.
+/// `−r / ln(1 − ρᵢ)` per edge — faster on the Support part than the Core
+/// part — followed by spanning-forest peeling.
+///
+/// Erased edges are known-useless qubits (maximally mixed states): like
+/// the Union-Find baseline they pre-seed the clusters instead of merely
+/// growing fast (at the `ρ = 0.5` speed), otherwise high-fidelity edges
+/// accumulate spurious growth during the rounds spent crossing erasures.
+/// The speed table is therefore built once, from the estimated
+/// fidelities alone.
 #[derive(Debug, Clone)]
 pub struct SurfNetDecoder {
-    primal: DecodingGraph,
-    dual: DecodingGraph,
+    inner: GrowthDecoder,
     step: f64,
-    num_qubits: usize,
 }
 
 impl SurfNetDecoder {
@@ -420,41 +504,44 @@ impl SurfNetDecoder {
     /// Panics if `step` is not positive.
     pub fn with_step(code: &SurfaceCode, model: &ErrorModel, step: f64) -> SurfNetDecoder {
         assert!(step > 0.0, "step size must be positive");
-        SurfNetDecoder {
-            primal: DecodingGraph::from_code(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_code(code, model, GraphKind::Dual),
+        SurfNetDecoder::from_graphs(
+            DecodingGraph::from_code(code, model, GraphKind::Primal),
+            DecodingGraph::from_code(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
             step,
-            num_qubits: code.num_data_qubits(),
-        }
+        )
     }
 
     /// Builds the decoder for a rotated surface code (default step size).
     pub fn from_rotated(code: &RotatedSurfaceCode, model: &ErrorModel) -> SurfNetDecoder {
+        SurfNetDecoder::from_graphs(
+            DecodingGraph::from_rotated(code, model, GraphKind::Primal),
+            DecodingGraph::from_rotated(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
+            DEFAULT_STEP_SIZE,
+        )
+    }
+
+    fn from_graphs(
+        primal: DecodingGraph,
+        dual: DecodingGraph,
+        num_qubits: usize,
+        step: f64,
+    ) -> SurfNetDecoder {
         SurfNetDecoder {
-            primal: DecodingGraph::from_rotated(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_rotated(code, model, GraphKind::Dual),
-            step: DEFAULT_STEP_SIZE,
-            num_qubits: code.num_data_qubits(),
+            inner: GrowthDecoder::new(GrowthKind::SurfNet, primal, dual, num_qubits, |graph| {
+                graph
+                    .edges()
+                    .iter()
+                    .map(|edge| growth_speed(edge.fidelity, step))
+                    .collect()
+            }),
+            step,
         }
     }
 
-    /// Graph-level decoding (see [`MwpmDecoder::correction_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
-    }
-
-    /// [`Self::correction_for`] running entirely inside `ws` — no per-shot
-    /// allocations, bit-identical corrections.
+    /// Graph-level decoding inside `ws` (see
+    /// [`MwpmDecoder::correction_for_with`]).
     ///
     /// # Errors
     ///
@@ -465,32 +552,8 @@ impl SurfNetDecoder {
         erased: &[bool],
         ws: &'ws mut DecodeWorkspace,
     ) -> Result<&'ws PauliString, DecoderError> {
-        let _span = surfnet_telemetry::span!("decoder.surfnet.decode");
-        let DecodeWorkspace {
-            cluster,
-            peel,
-            defects,
-            speeds,
-            x_fix,
-            z_fix,
-            correction,
-            ..
-        } = ws;
-        syndrome_defects_into(&syndrome.z_flips, defects);
-        self.fill_speeds(&self.primal, erased, speeds);
-        grow_and_peel(&self.primal, defects, speeds, erased, cluster, peel, x_fix)?;
-        syndrome_defects_into(&syndrome.x_flips, defects);
-        self.fill_speeds(&self.dual, erased, speeds);
-        grow_and_peel(&self.dual, defects, speeds, erased, cluster, peel, z_fix)?;
-        assemble_correction_into(
-            correction,
-            self.num_qubits,
-            x_fix,
-            z_fix,
-            &self.primal,
-            &self.dual,
-        );
-        Ok(correction)
+        self.inner.correct_into(syndrome, erased, ws)?;
+        Ok(&ws.correction)
     }
 
     /// [`Decoder::decode_sample`] running entirely inside `ws`.
@@ -505,42 +568,14 @@ impl SurfNetDecoder {
         sample: &ErrorSample,
         ws: &mut DecodeWorkspace,
     ) -> DecodeOutcome {
-        let mut syndrome = std::mem::take(&mut ws.syndrome);
-        code.extract_syndrome_into(&sample.pauli, &mut syndrome);
-        let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
-            fast
-        } else {
-            let correction = self
-                .correction_for_with(&syndrome, &sample.erased, ws)
-                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
-                .expect("decoding a well-formed surface code sample cannot fail");
-            code.score_correction(&sample.pauli, correction)
-        };
-        ws.syndrome = syndrome;
-        outcome
+        decode_sample_in(code, sample, ws, |s, e, ws| {
+            self.inner.correct_into(s, e, ws)
+        })
     }
 
     /// The configured step size `r`.
     pub fn step(&self) -> f64 {
         self.step
-    }
-
-    /// Per-edge weighted growth speeds `−r / ln(1 − ρ)` (Algorithm 2).
-    /// Erased edges are known-useless qubits (maximally mixed states):
-    /// like the Union-Find baseline they pre-seed the clusters — via the
-    /// `pregrown = erased` flags passed to growth — instead of merely
-    /// growing fast, otherwise high-fidelity edges accumulate spurious
-    /// growth during the rounds spent crossing erasures.
-    fn fill_speeds(&self, graph: &DecodingGraph, erased: &[bool], speeds: &mut Vec<f64>) {
-        speeds.clear();
-        speeds.extend((0..graph.num_edges()).map(|e| {
-            let rho = if erased[e] {
-                ERASURE_FIDELITY
-            } else {
-                graph.edge(e).fidelity
-            };
-            growth_speed(rho, self.step)
-        }));
     }
 }
 
@@ -555,8 +590,8 @@ impl Decoder for SurfNetDecoder {
         syndrome: &Syndrome,
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
-        debug_assert_eq!(code.num_data_qubits(), self.num_qubits);
-        self.correction_for(syndrome, erased)
+        debug_assert_eq!(code.num_data_qubits(), self.inner.num_qubits);
+        decode_fresh(|ws| self.inner.correct_into(syndrome, erased, ws))
     }
 }
 

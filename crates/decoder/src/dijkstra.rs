@@ -116,9 +116,7 @@ impl ShortestPaths {
                 continue;
             }
             done[v] = true;
-            for &ei in graph.incident(v) {
-                let e = graph.edge(ei);
-                let u = e.other(v);
+            for (&ei, &u) in graph.incident(v).iter().zip(graph.neighbors(v)) {
                 let nd = d + graph.sample_weight(ei, erased);
                 if nd < dist[u] {
                     dist[u] = nd;

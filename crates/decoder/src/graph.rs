@@ -60,9 +60,15 @@ impl GraphEdge {
 pub struct DecodingGraph {
     num_checks: usize,
     edges: Vec<GraphEdge>,
-    /// `adj[v]` lists edge indices incident to vertex `v` (boundary
-    /// included as the last entry).
-    adj: Vec<Vec<usize>>,
+    /// Flat (CSR) adjacency: vertex `v`'s incidences occupy
+    /// `offsets[v] .. offsets[v + 1]` of `incident` / `neighbor`
+    /// (boundary included as the last vertex).
+    offsets: Vec<usize>,
+    /// Incident edge indices, ascending within each vertex.
+    incident: Vec<usize>,
+    /// `neighbor[i]` is the endpoint of edge `incident[i]` opposite the
+    /// vertex that owns slot `i` (the vertex itself for a self-loop).
+    neighbor: Vec<usize>,
 }
 
 impl DecodingGraph {
@@ -77,8 +83,14 @@ impl DecodingGraph {
     /// Panics if an edge references a vertex beyond the boundary index or a
     /// fidelity outside `[0, 1]`.
     pub fn from_edges(num_checks: usize, edges: Vec<GraphEdge>) -> DecodingGraph {
-        let mut adj = vec![Vec::new(); num_checks + 1];
-        for (i, e) in edges.iter().enumerate() {
+        // Degree count, inclusive prefix sum (so `offsets[v]` is the end of
+        // `v`'s run), then one fill pass over the edges in reverse that
+        // walks each `offsets[v]` back to the start of its run: every
+        // vertex lists its edges in ascending index order, with no
+        // per-vertex buffer. A self-loop is listed once.
+        let nv = num_checks + 1;
+        let mut offsets = vec![0usize; nv + 1];
+        for e in &edges {
             assert!(
                 e.a <= num_checks && e.b <= num_checks,
                 "edge endpoint out of range: {e:?}"
@@ -87,15 +99,33 @@ impl DecodingGraph {
                 (0.0..=1.0).contains(&e.fidelity),
                 "edge fidelity outside [0,1]: {e:?}"
             );
-            adj[e.a].push(i);
+            offsets[e.a] += 1;
             if e.b != e.a {
-                adj[e.b].push(i);
+                offsets[e.b] += 1;
+            }
+        }
+        for v in 1..=nv {
+            offsets[v] += offsets[v - 1];
+        }
+        let total = offsets[nv];
+        let mut incident = vec![0usize; total];
+        let mut neighbor = vec![0usize; total];
+        for (i, e) in edges.iter().enumerate().rev() {
+            offsets[e.a] -= 1;
+            incident[offsets[e.a]] = i;
+            neighbor[offsets[e.a]] = e.b;
+            if e.b != e.a {
+                offsets[e.b] -= 1;
+                incident[offsets[e.b]] = i;
+                neighbor[offsets[e.b]] = e.a;
             }
         }
         DecodingGraph {
             num_checks,
             edges,
-            adj,
+            offsets,
+            incident,
+            neighbor,
         }
     }
 
@@ -189,7 +219,18 @@ impl DecodingGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn incident(&self, v: usize) -> &[usize] {
-        &self.adj[v]
+        &self.incident[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The endpoint opposite `v` of each edge in [`Self::incident`]`(v)`,
+    /// slot for slot (so `neighbors(v)[i] == edge(incident(v)[i]).other(v)`
+    /// without the endpoint comparison).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn neighbors(&self, v: usize) -> &[usize] {
+        &self.neighbor[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The weight of edge `i` for a sample where `erased[i]` flags erasure:
@@ -218,7 +259,7 @@ impl DecodingGraph {
 
     /// Whether the graph has any edge touching the boundary vertex.
     pub fn has_boundary_edges(&self) -> bool {
-        !self.adj[self.boundary()].is_empty()
+        !self.incident(self.boundary()).is_empty()
     }
 }
 
@@ -312,6 +353,86 @@ mod tests {
         assert_eq!(g.incident(1), &[0, 1]);
         assert_eq!(g.boundary(), 3);
         assert!(g.has_boundary_edges());
+    }
+
+    /// The adjacency as the per-vertex `Vec` build used to produce it:
+    /// each edge pushed onto its endpoints' lists in index order, a
+    /// self-loop once.
+    fn reference_adjacency(g: &DecodingGraph) -> Vec<Vec<usize>> {
+        let mut adj = vec![Vec::new(); g.num_vertices()];
+        for (i, e) in g.edges().iter().enumerate() {
+            adj[e.a].push(i);
+            if e.b != e.a {
+                adj[e.b].push(i);
+            }
+        }
+        adj
+    }
+
+    /// Checks the CSR arrays against the reference adjacency and
+    /// [`GraphEdge::other`], and `has_boundary_edges` against the edges.
+    fn assert_csr_consistent(g: &DecodingGraph) {
+        let reference = reference_adjacency(g);
+        for v in 0..g.num_vertices() {
+            assert_eq!(g.incident(v), reference[v].as_slice(), "vertex {v}");
+            assert!(g.incident(v).windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(g.neighbors(v).len(), g.incident(v).len());
+            for (&e, &u) in g.incident(v).iter().zip(g.neighbors(v)) {
+                assert_eq!(u, g.edge(e).other(v), "edge {e} at vertex {v}");
+            }
+        }
+        let touches_boundary = g
+            .edges()
+            .iter()
+            .any(|e| e.a == g.boundary() || e.b == g.boundary());
+        assert_eq!(g.has_boundary_edges(), touches_boundary);
+    }
+
+    #[test]
+    fn csr_adjacency_matches_reference_on_code_graphs() {
+        for d in [3, 5, 9] {
+            let (_, primal, dual) = graphs_for(d);
+            assert_csr_consistent(&primal);
+            assert_csr_consistent(&dual);
+            let rotated = RotatedSurfaceCode::new(d).unwrap();
+            let model = ErrorModel::uniform_len(rotated.num_data_qubits(), 0.1, 0.0);
+            for kind in [GraphKind::Primal, GraphKind::Dual] {
+                assert_csr_consistent(&DecodingGraph::from_rotated(&rotated, &model, kind));
+            }
+        }
+    }
+
+    #[test]
+    fn csr_adjacency_from_edges_handles_self_loops_and_isolated_vertices() {
+        let edge = |a, b, qubit| GraphEdge {
+            a,
+            b,
+            qubit,
+            fidelity: 0.9,
+        };
+        // Vertex 2 carries a self-loop between its other edges; vertex 3
+        // is isolated; edges are listed out of vertex order.
+        let g = DecodingGraph::from_edges(
+            4,
+            vec![
+                edge(1, 2, 0),
+                edge(0, 4, 1),
+                edge(2, 2, 2),
+                edge(0, 1, 3),
+                edge(2, 0, 4),
+            ],
+        );
+        assert_csr_consistent(&g);
+        assert_eq!(g.incident(2), &[0, 2, 4]);
+        assert_eq!(g.neighbors(2), &[1, 2, 0]);
+        assert_eq!(g.incident(0), &[1, 3, 4]);
+        assert_eq!(g.neighbors(0), &[4, 1, 2]);
+        assert!(g.incident(3).is_empty());
+        assert!(g.has_boundary_edges());
+        let no_boundary = DecodingGraph::from_edges(2, vec![edge(0, 1, 0), edge(1, 1, 1)]);
+        assert_csr_consistent(&no_boundary);
+        assert!(!no_boundary.has_boundary_edges());
+        assert_csr_consistent(&DecodingGraph::from_edges(3, Vec::new()));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::graph::DecodingGraph;
 use crate::DecoderError;
-use std::collections::VecDeque;
 
 /// Reusable buffers for [`peel_into`]: allocated once, cleared and resized
 /// in place on every decode.
@@ -19,7 +18,6 @@ pub struct PeelScratch {
     visited: Vec<bool>,
     parent_edge: Vec<usize>,
     order: Vec<usize>,
-    queue: VecDeque<usize>,
 }
 
 /// Runs the peeling decoder over the `support` edge set.
@@ -77,7 +75,6 @@ pub fn peel_into(
         visited,
         parent_edge,
         order,
-        queue,
     } = scratch;
     defect.clear();
     defect.resize(nv, false);
@@ -95,37 +92,35 @@ pub fn peel_into(
 
     // BFS over support edges. Start from the boundary so trees containing
     // it are rooted there (syndromes can then be flushed into the
-    // boundary); remaining components are rooted arbitrarily.
+    // boundary); remaining components are rooted arbitrarily. `order` is
+    // the FIFO itself: vertices are appended when discovered and scanned
+    // from `head`, so it ends up holding the BFS visit order.
     let bfs = |start: usize,
                visited: &mut Vec<bool>,
                parent_edge: &mut Vec<usize>,
-               order: &mut Vec<usize>,
-               queue: &mut VecDeque<usize>| {
+               order: &mut Vec<usize>| {
         if visited[start] {
             return;
         }
         visited[start] = true;
-        queue.clear();
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &e in graph.incident(v) {
-                if !support[e] {
-                    continue;
-                }
-                let u = graph.edge(e).other(v);
-                if !visited[u] {
+        let mut head = order.len();
+        order.push(start);
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for (&e, &u) in graph.incident(v).iter().zip(graph.neighbors(v)) {
+                if support[e] && !visited[u] {
                     visited[u] = true;
                     parent_edge[u] = e;
-                    queue.push_back(u);
+                    order.push(u);
                 }
             }
         }
     };
 
-    bfs(boundary, visited, parent_edge, order, queue);
+    bfs(boundary, visited, parent_edge, order);
     for v in 0..nv {
-        bfs(v, visited, parent_edge, order, queue);
+        bfs(v, visited, parent_edge, order);
     }
 
     // Peel leaves inward: reverse BFS order guarantees children before

@@ -45,8 +45,8 @@ pub fn erasure_weight() -> f64 {
 /// The SurfNet Decoder's growth speed for an edge of fidelity `ρ`:
 /// `−r / ln(1 − ρ)` (Algorithm 2), where `r` is the decoder step size.
 ///
-/// Erasures use [`ERASURE_FIDELITY`] and therefore grow fastest; Support
-/// qubits grow faster than Core qubits.
+/// Support qubits grow faster than Core qubits. Erased edges start
+/// pre-grown in both growth decoders, so their speed is never read.
 ///
 /// # Panics
 ///

@@ -4,8 +4,8 @@
 //! needs a pile of transient buffers (cluster bookkeeping, Dijkstra
 //! heaps, peeling visit orders, blossom edge lists, the extracted
 //! syndrome, the assembled correction). A [`DecodeWorkspace`] owns all of
-//! them so a hot loop allocates on the first shot only — every later shot
-//! clears and refills the same memory. The workspace is decoder-agnostic:
+//! them so a hot loop stops allocating once its buffers reach their
+//! high-water mark — every later shot clears and refills the same memory. The workspace is decoder-agnostic:
 //! one instance serves MWPM, Union-Find, and SurfNet decodes
 //! interchangeably, on any graph size.
 //!
@@ -30,8 +30,6 @@ pub struct DecodeWorkspace {
     pub(crate) mwpm: MatchScratch,
     /// Defect vertex indices of the graph currently being decoded.
     pub(crate) defects: Vec<usize>,
-    /// Per-edge growth speeds for the current graph.
-    pub(crate) speeds: Vec<f64>,
     /// Primal-graph correction edges (X fixes).
     pub(crate) x_fix: Vec<usize>,
     /// Dual-graph correction edges (Z fixes).
@@ -40,6 +38,8 @@ pub struct DecodeWorkspace {
     pub(crate) syndrome: Syndrome,
     /// The assembled Pauli correction of the last decode.
     pub(crate) correction: PauliString,
+    /// Residual `error · correction` of the last scored shot.
+    pub(crate) residual: PauliString,
 }
 
 impl DecodeWorkspace {

@@ -1,8 +1,12 @@
-//! Decoder integration tests on the rotated surface code family.
+//! Decoder integration tests on the rotated surface code family, through
+//! the graph-level `correction_for_with` (the [`Decoder`] trait takes the
+//! unrotated `SurfaceCode`).
+//!
+//! [`Decoder`]: surfnet_decoder::Decoder
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use surfnet_decoder::{MwpmDecoder, SurfNetDecoder, UnionFindDecoder};
+use surfnet_decoder::{DecodeWorkspace, MwpmDecoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::rotated::RotatedSurfaceCode;
 use surfnet_lattice::{ErrorModel, Pauli, PauliString};
 
@@ -14,17 +18,20 @@ fn rotated_single_errors_corrected_by_all_decoders() {
     let uf = UnionFindDecoder::from_rotated(&code, &model);
     let sn = SurfNetDecoder::from_rotated(&code, &model);
     let erased = vec![false; code.num_data_qubits()];
+    let mut ws = DecodeWorkspace::new();
     for q in 0..code.num_data_qubits() {
         for op in [Pauli::X, Pauli::Z, Pauli::Y] {
             let mut err = PauliString::identity(code.num_data_qubits());
             err.set(q, op);
             let syndrome = code.extract_syndrome(&err);
-            for (name, correction) in [
-                ("mwpm", mwpm.correction_for(&syndrome, &erased).unwrap()),
-                ("uf", uf.correction_for(&syndrome, &erased).unwrap()),
-                ("sn", sn.correction_for(&syndrome, &erased).unwrap()),
-            ] {
-                let outcome = code.score_correction(&err, &correction);
+            for name in ["mwpm", "uf", "sn"] {
+                let correction = match name {
+                    "mwpm" => mwpm.correction_for_with(&syndrome, &erased, &mut ws),
+                    "uf" => uf.correction_for_with(&syndrome, &erased, &mut ws),
+                    _ => sn.correction_for_with(&syndrome, &erased, &mut ws),
+                }
+                .unwrap();
+                let outcome = code.score_correction(&err, correction);
                 assert!(outcome.is_success(), "{name} failed on {op} at qubit {q}");
             }
         }
@@ -39,16 +46,24 @@ fn rotated_random_samples_always_clear_syndrome() {
     let sn = SurfNetDecoder::from_rotated(&code, &model);
     let uf = UnionFindDecoder::from_rotated(&code, &model);
     let mut rng = SmallRng::seed_from_u64(3);
+    let mut ws = DecodeWorkspace::new();
     for _ in 0..200 {
         let sample = model.sample(&mut rng);
         let syndrome = code.extract_syndrome(&sample.pauli);
-        for correction in [
-            sn.correction_for(&syndrome, &sample.erased).unwrap(),
-            uf.correction_for(&syndrome, &sample.erased).unwrap(),
-        ] {
-            let outcome = code.score_correction(&sample.pauli, &correction);
-            assert!(outcome.syndrome_cleared);
-        }
+        let correction = sn
+            .correction_for_with(&syndrome, &sample.erased, &mut ws)
+            .unwrap();
+        assert!(
+            code.score_correction(&sample.pauli, correction)
+                .syndrome_cleared
+        );
+        let correction = uf
+            .correction_for_with(&syndrome, &sample.erased, &mut ws)
+            .unwrap();
+        assert!(
+            code.score_correction(&sample.pauli, correction)
+                .syndrome_cleared
+        );
     }
 }
 
@@ -58,14 +73,17 @@ fn rotated_logical_error_rate_below_threshold_is_low() {
     let model = ErrorModel::uniform_len(code.num_data_qubits(), 0.02, 0.02);
     let sn = SurfNetDecoder::from_rotated(&code, &model);
     let mut rng = SmallRng::seed_from_u64(5);
+    let mut ws = DecodeWorkspace::new();
     let trials = 500;
     let failures = (0..trials)
         .filter(|_| {
             let sample = model.sample(&mut rng);
             let syndrome = code.extract_syndrome(&sample.pauli);
-            let correction = sn.correction_for(&syndrome, &sample.erased).unwrap();
+            let correction = sn
+                .correction_for_with(&syndrome, &sample.erased, &mut ws)
+                .unwrap();
             !code
-                .score_correction(&sample.pauli, &correction)
+                .score_correction(&sample.pauli, correction)
                 .is_success()
         })
         .count();
@@ -81,14 +99,17 @@ fn rotated_larger_distance_better_below_threshold() {
         let model = ErrorModel::uniform_len(code.num_data_qubits(), 0.03, 0.03);
         let uf = UnionFindDecoder::from_rotated(&code, &model);
         let mut rng = SmallRng::seed_from_u64(8);
+        let mut ws = DecodeWorkspace::new();
         let trials = 500;
         let failures = (0..trials)
             .filter(|_| {
                 let sample = model.sample(&mut rng);
                 let syndrome = code.extract_syndrome(&sample.pauli);
-                let correction = uf.correction_for(&syndrome, &sample.erased).unwrap();
+                let correction = uf
+                    .correction_for_with(&syndrome, &sample.erased, &mut ws)
+                    .unwrap();
                 !code
-                    .score_correction(&sample.pauli, &correction)
+                    .score_correction(&sample.pauli, correction)
                     .is_success()
             })
             .count();

@@ -233,17 +233,26 @@ impl ErrorModel {
     /// maximally mixed state — uniform `{I, X, Y, Z}`), then independent
     /// Pauli errors on the surviving qubits.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ErrorSample {
+        let mut sample = ErrorSample::clean(0);
+        self.sample_into(rng, &mut sample);
+        sample
+    }
+
+    /// [`Self::sample`] into an existing [`ErrorSample`], reusing its
+    /// buffers: the same RNG draws in the same order, so a shot loop that
+    /// refills one sample sees exactly the samples `sample` would return.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut ErrorSample) {
         let n = self.len();
-        let mut pauli = PauliString::identity(n);
-        let mut erased = vec![false; n];
+        out.pauli.reset_identity(n);
+        out.erased.clear();
+        out.erased.resize(n, false);
         for q in 0..n {
             let (is_erased, op) = self.draw_qubit(q, rng);
-            erased[q] = is_erased;
+            out.erased[q] = is_erased;
             if !op.is_identity() {
-                pauli.set(q, op);
+                out.pauli.set(q, op);
             }
         }
-        ErrorSample { pauli, erased }
     }
 }
 
@@ -409,5 +418,25 @@ mod tests {
             let frac = c as f64 / trials as f64;
             assert!((frac - 0.25).abs() < 0.05, "fraction {frac}");
         }
+    }
+
+    #[test]
+    fn sample_into_matches_sample_draw_for_draw() {
+        // One reused sample, first filled on a larger code so its buffers
+        // carry stale entries: every refill must equal a fresh `sample`
+        // from an identically seeded RNG, and leave both RNGs in step.
+        let big = SurfaceCode::new(7).unwrap();
+        let code = SurfaceCode::new(5).unwrap();
+        let part = code.core_partition(CoreTopology::Cross);
+        let model = ErrorModel::dual_channel(&code, &part, 0.08, 0.15);
+        let mut reused =
+            ErrorModel::uniform(&big, 0.5, 0.5).sample(&mut SmallRng::seed_from_u64(1));
+        let mut rng_fresh = SmallRng::seed_from_u64(21);
+        let mut rng_reused = SmallRng::seed_from_u64(21);
+        for _ in 0..50 {
+            model.sample_into(&mut rng_reused, &mut reused);
+            assert_eq!(reused, model.sample(&mut rng_fresh));
+        }
+        assert_eq!(rng_fresh.gen::<u64>(), rng_reused.gen::<u64>());
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::code::SurfaceCode;
 use crate::pauli::{Pauli, PauliString};
+use crate::syndrome::Syndrome;
 use serde::{Deserialize, Serialize};
 
 /// Which logical operators a residual error flips.
@@ -73,18 +74,37 @@ impl SurfaceCode {
     /// Panics if `error` and `correction` do not both cover every data
     /// qubit.
     pub fn score_correction(&self, error: &PauliString, correction: &PauliString) -> DecodeOutcome {
-        let residual = error * correction;
-        let syndrome_cleared = self.extract_syndrome(&residual).is_trivial();
-        let logical_failure = if syndrome_cleared {
-            self.logical_failure(&residual)
-        } else {
-            // An uncleared syndrome is already a failure; still report the
-            // commutation parities for diagnostics.
-            self.logical_failure(&residual)
-        };
+        self.score_correction_into(
+            error,
+            correction,
+            &mut PauliString::default(),
+            &mut Syndrome::default(),
+        )
+    }
+
+    /// [`Self::score_correction`] with the residual `error · correction`
+    /// and its syndrome built in caller buffers, which keep their
+    /// allocations across shots (the decoder hot loop scores every shot
+    /// this way). An uncleared syndrome is already a failure; the
+    /// commutation parities are still reported for diagnostics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `error` and `correction` do not both cover every data
+    /// qubit.
+    pub fn score_correction_into(
+        &self,
+        error: &PauliString,
+        correction: &PauliString,
+        residual: &mut PauliString,
+        syndrome: &mut Syndrome,
+    ) -> DecodeOutcome {
+        residual.clone_from(error);
+        residual.compose_assign(correction);
+        self.extract_syndrome_into(residual, syndrome);
         DecodeOutcome {
-            syndrome_cleared,
-            logical_failure,
+            syndrome_cleared: syndrome.is_trivial(),
+            logical_failure: self.logical_failure(residual),
         }
     }
 }
@@ -194,5 +214,47 @@ mod tests {
         let outcome = code.score_correction(&err, &id);
         assert!(!outcome.syndrome_cleared);
         assert!(!outcome.is_success());
+    }
+
+    #[test]
+    fn score_correction_into_matches_allocating_scoring() {
+        // Reused residual/syndrome buffers start out sized for another
+        // code and keep stale contents between calls.
+        let code = code();
+        let n = code.num_data_qubits();
+        let mut residual = PauliString::identity(3 * n);
+        residual.set(1, Pauli::Y);
+        let mut syndrome = SurfaceCode::new(7)
+            .unwrap()
+            .extract_syndrome(&PauliString::from_support(85, &[0, 9], Pauli::Y));
+        let chain: Vec<usize> = (0..code.side())
+            .step_by(2)
+            .map(|row| code.data_qubit_at(Coord::new(row, 4)).unwrap())
+            .collect();
+        let cases = [
+            (PauliString::identity(n), PauliString::identity(n)),
+            (
+                PauliString::from_support(n, &[0], Pauli::X),
+                PauliString::identity(n),
+            ),
+            (
+                PauliString::from_support(n, &[3], Pauli::Z),
+                PauliString::from_support(n, &[3], Pauli::Z),
+            ),
+            (
+                PauliString::from_support(n, &chain, Pauli::X),
+                PauliString::identity(n),
+            ),
+            (
+                PauliString::from_support(n, &chain, Pauli::Y),
+                PauliString::from_support(n, &chain, Pauli::Z),
+            ),
+        ];
+        for (err, fix) in &cases {
+            assert_eq!(
+                code.score_correction_into(err, fix, &mut residual, &mut syndrome),
+                code.score_correction(err, fix)
+            );
+        }
     }
 }

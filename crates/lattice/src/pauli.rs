@@ -143,9 +143,24 @@ impl fmt::Display for Pauli {
 /// fix.set(2, Pauli::X);
 /// assert!((&err * &fix).is_identity());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PauliString {
     ops: Vec<Pauli>,
+}
+
+// Written out so that `clone_from` reuses the destination's allocation
+// (derived `Clone` falls back to `*self = source.clone()`): decoders
+// rebuild their scoring residual this way every shot.
+impl Clone for PauliString {
+    fn clone(&self) -> PauliString {
+        PauliString {
+            ops: self.ops.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &PauliString) {
+        self.ops.clone_from(&source.ops);
+    }
 }
 
 impl PauliString {
