@@ -8,68 +8,22 @@
 //! configured rate into a bounded pool (`η_e` pairs), and all Core parts
 //! crossing that fiber drain the same pool. Requests are served round-robin
 //! with a rotating head so no transfer starves.
+//!
+//! This engine keeps its per-tick loop: a fiber's next pair goes to
+//! whichever transfer the round-robin serves first, and its pool refills
+//! only below capacity, so no transfer has an independent per-fiber ready
+//! time to draw up front as the independent engine does. It shares that
+//! engine's failure sampling and recovery
+//! ([`crate::execution`]'s `recover_plan`) and segment records
+//! ([`SegmentOutcome`]).
 
-use crate::entanglement::core_segment_fidelity;
 use crate::execution::{
-    link_key, recover_route, ExecutionConfig, ExecutionOutcome, PlannedSegment, SegmentOutcome,
+    link_key, recover_plan, EffectivePlan, ExecutionConfig, ExecutionOutcome, SegmentOutcome,
     TransferPlan,
 };
 use crate::topology::Network;
 use rand::Rng;
 use surfnet_telemetry::dim;
-
-/// A plan's routes after applying this transfer's sampled fiber failures:
-/// the recovered segments that remain routable, and whether the whole plan
-/// survived (a `false` tail means the transfer fails upon reaching the
-/// first unroutable segment, charging nothing for it — route failures are
-/// detected at segment planning time, matching `execute_plan`).
-struct EffectivePlan {
-    segments: Vec<PlannedSegment>,
-    routable: bool,
-}
-
-/// Applies per-transfer fiber failures to every segment of `plan`,
-/// detouring failed fibers via recovery paths (as `execute_plan` does
-/// lazily, segment by segment).
-fn recover_plan(net: &Network, plan: &TransferPlan, failed: &[bool]) -> EffectivePlan {
-    let mut segments = Vec::with_capacity(plan.segments.len());
-    let mut cursor = plan.src;
-    for seg in &plan.segments {
-        let Some(support_route) = recover_route(net, cursor, &seg.support_route, failed) else {
-            return EffectivePlan {
-                segments,
-                routable: false,
-            };
-        };
-        let end = net
-            .walk(cursor, &support_route)
-            .last()
-            .copied()
-            .unwrap_or(cursor);
-        let core_route = match &seg.core_route {
-            Some(route) => match recover_route(net, cursor, route, failed) {
-                Some(r) => Some(r),
-                None => {
-                    return EffectivePlan {
-                        segments,
-                        routable: false,
-                    }
-                }
-            },
-            None => None,
-        };
-        segments.push(PlannedSegment {
-            core_route,
-            support_route,
-            correct_at_end: seg.correct_at_end,
-        });
-        cursor = end;
-    }
-    EffectivePlan {
-        segments,
-        routable: true,
-    }
-}
 
 /// Per-transfer progress through its plan.
 #[derive(Debug)]
@@ -118,7 +72,10 @@ struct TransferState {
 ///
 /// # Panics
 ///
-/// Panics if a plan references fibers outside `net`.
+/// Panics if a plan references fibers outside `net`, a plan's segments
+/// are empty, or `config` is out of range (see [`ExecutionConfig`]: a NaN
+/// or out-of-`[0, 1]` `entanglement_rate` or `fiber_failure_prob`, or
+/// `min_advance == 0`).
 pub fn execute_concurrently<R: Rng + ?Sized>(
     net: &Network,
     plans: &[TransferPlan],
@@ -127,22 +84,13 @@ pub fn execute_concurrently<R: Rng + ?Sized>(
 ) -> Vec<ExecutionOutcome> {
     let _span = surfnet_telemetry::span!("netsim.execute_concurrently");
     let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Entangle);
+    config.assert_valid();
     let mut pools: Vec<u32> = vec![0; net.num_fibers()];
     let effective: Vec<EffectivePlan> = plans
         .iter()
         .map(|p| {
             assert!(!p.segments.is_empty(), "plan has no segments");
-            if config.fiber_failure_prob == 0.0 {
-                EffectivePlan {
-                    segments: p.segments.clone(),
-                    routable: true,
-                }
-            } else {
-                let failed: Vec<bool> = (0..net.num_fibers())
-                    .map(|_| rng.gen::<f64>() < config.fiber_failure_prob)
-                    .collect();
-                recover_plan(net, p, &failed)
-            }
+            recover_plan(net, p, config, rng)
         })
         .collect();
     let mut states: Vec<TransferState> = effective
@@ -285,27 +233,9 @@ fn step_transfer(
     // Segment complete (plus one tick for EC when scheduled).
     let ec_ticks = u64::from(seg.correct_at_end);
     let seg_ticks = (tick - state.segment_start) + ec_ticks;
-    let support_fidelity = net.path_fidelity(&seg.support_route);
-    let support_erasure_prob = 1.0
-        - seg
-            .support_route
-            .iter()
-            .map(|&f| 1.0 - net.fiber(f).loss_prob)
-            .product::<f64>();
-    let (core_fidelity, core_erasure_prob) = match &seg.core_route {
-        Some(route) => (core_segment_fidelity(net.path_fidelity(route)), 0.0),
-        None => (support_fidelity, support_erasure_prob),
-    };
-    // Clamp to valid probabilities at the boundary, mirroring the
-    // independent-execution path (see execution.rs).
-    state.segments_done.push(SegmentOutcome {
-        core_fidelity: core_fidelity.clamp(0.0, 1.0),
-        support_fidelity: support_fidelity.clamp(0.0, 1.0),
-        support_erasure_prob: support_erasure_prob.clamp(0.0, 1.0),
-        core_erasure_prob: core_erasure_prob.clamp(0.0, 1.0),
-        ticks: seg_ticks,
-        corrected_at_end: seg.correct_at_end,
-    });
+    state
+        .segments_done
+        .push(SegmentOutcome::of(net, seg, seg_ticks));
     state.total_ticks += seg_ticks;
     state.segment += 1;
     if state.segment == plan.segments.len() {

@@ -1,10 +1,7 @@
 //! Streaming discrete-event simulation engine.
 //!
-//! The tick engines ([`crate::execution::execute_plan`],
-//! [`crate::concurrent::execute_concurrently`]) replay one static batch of
-//! scheduled transfers, spending one RNG draw per fiber per tick. This
-//! module scales the same execution semantics to open workloads on
-//! network-scale topologies:
+//! Runs the per-transfer execution engine ([`crate::execution`]) over open
+//! workloads on network-scale topologies:
 //!
 //! * [`EventQueue`] — an indexed binary-heap event queue with
 //!   deterministic tie-breaking: events order by `(time, seq)`, where
@@ -13,12 +10,10 @@
 //! * [`ArrivalProcess`] — an open Poisson process (geometric inter-arrival
 //!   gaps, the discrete-time analog of exponential gaps) or a supplied
 //!   trace of timed [`Request`]s.
-//! * **Per-link attempt batching** — instead of one Bernoulli draw per
-//!   idle fiber per tick, each fiber's first-success time is one geometric
-//!   draw ([`execute_plan_event`]); the opportunistic-forwarding walk is
-//!   then a deterministic function of those ready times, reproducing the
-//!   tick engine's dynamics exactly (and bit-identically at
-//!   `entanglement_rate: 1.0`).
+//! * **Per-transfer execution** — each admitted transfer runs once through
+//!   [`execute_plan_event`], which draws one geometric pair-ready time per
+//!   Core fiber instead of simulating ticks; the transfer's latency then
+//!   schedules its departure.
 //! * **Admission control + backpressure** — a request whose route would
 //!   oversubscribe a relay's memory ([`crate::topology::Node::capacity`])
 //!   or a fiber's pair pool (`entanglement_capacity`) is deferred up to
@@ -34,10 +29,7 @@
 //! on [`ExecutionConfig::max_ticks`] and
 //! [`crate::execution::ExecutionOutcome::latency`].
 
-use crate::entanglement::core_segment_fidelity;
-use crate::execution::{
-    recover_route, ExecutionConfig, ExecutionOutcome, SegmentOutcome, TransferPlan,
-};
+use crate::execution::{geometric, run_transfer, ExecutionConfig, ExecutionOutcome, TransferPlan};
 use crate::planner::{Footprint, RoutePlanner};
 use crate::request::Request;
 use crate::topology::Network;
@@ -171,7 +163,7 @@ pub struct StreamConfig {
     pub max_defers: u32,
     /// Ticks between re-offers of a blocked request.
     pub defer_ticks: u64,
-    /// Per-transfer execution tunables (shared with the tick engines).
+    /// Per-transfer execution tunables (shared with every execution engine).
     pub exec: ExecutionConfig,
     /// Poisson arrivals draw code counts in `1..=max_codes_per_request`.
     pub max_codes_per_request: u32,
@@ -295,179 +287,22 @@ impl StreamStats {
     }
 }
 
-/// One geometric draw: the first-success tick (≥ 1) of per-tick Bernoulli
-/// attempts at probability `p`. `p ≥ 1` succeeds at tick 1 without
-/// consuming randomness; `p ≤ 0` never succeeds (`u64::MAX`).
-fn geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    if p >= 1.0 {
-        return 1;
-    }
-    if p <= 0.0 {
-        return u64::MAX;
-    }
-    // Inversion on u ∈ (0, 1]: G = ceil(ln u / ln(1-p)), clamped to ≥ 1.
-    let u = 1.0 - rng.gen::<f64>();
-    let g = (u.ln() / (1.0 - p).ln()).ceil();
-    if g < 1.0 {
-        1
-    } else if g >= 1e18 {
-        u64::MAX
-    } else {
-        g as u64
-    }
-}
-
-/// Completion tick of the opportunistic-forwarding walk given each
-/// fiber's pair-ready tick, or `None` past `max_ticks`.
-///
-/// Reproduces [`crate::execution`]'s tick dynamics exactly: the Core part
-/// advances over the longest ready run of at least
-/// `min(min_advance, remaining)` fibers, one advancement per tick. After
-/// a maximal jump the next fiber is by construction not yet ready, so
-/// advancement times are exactly a subset of the ready times — the walk
-/// is a deterministic function of them and needs no per-tick sampling.
-fn core_completion(ready: &[u64], min_advance: usize, max_ticks: u64) -> Option<u64> {
-    let len = ready.len();
-    if len == 0 {
-        return Some(0);
-    }
-    let mut pos = 0usize;
-    let mut t = 0u64;
-    while pos < len {
-        let needed = min_advance.max(1).min(len - pos);
-        // The run from `pos` first reaches `needed` fibers when the
-        // slowest of them is ready; the jump then consumes every fiber
-        // ready by that tick.
-        let t_jump = ready[pos..pos + needed].iter().fold(t, |m, &r| m.max(r));
-        if t_jump > max_ticks {
-            return None;
-        }
-        let mut run = 0;
-        while pos + run < len && ready[pos + run] <= t_jump {
-            run += 1;
-        }
-        pos += run;
-        t = t_jump;
-    }
-    Some(t)
-}
-
-/// Executes one transfer plan with event-driven (batched) entanglement
-/// sampling: one geometric draw per core-route fiber instead of one
-/// Bernoulli per tick.
-///
-/// Semantically equivalent to [`crate::execution::execute_plan`] — same
-/// per-segment `max_ticks` transport budget (EC ticks exempt), same
-/// failure-latency charging, same fiber-failure recovery — and
-/// *identical* in outcome at `entanglement_rate: 1.0`, where both engines
-/// finish every Core walk at tick 1 (the cross-engine agreement matrix
-/// pins this). At other rates the latency distributions match but
-/// individual draws differ (the RNG streams are consumed differently).
+/// Executes one transfer plan for the streaming engine: the same engine,
+/// RNG stream and outcome as [`crate::execution::execute_plan`], without
+/// its span, stage scope or per-link `netsim.link.*` families (a stream
+/// touches more links than a metric family keeps labels for). Only the
+/// `netsim.entanglement_attempts` total is recorded.
 ///
 /// # Panics
 ///
-/// Panics if a route references a fiber outside `net` or the plan's
-/// segments are empty.
+/// As [`crate::execution::execute_plan`].
 pub fn execute_plan_event<R: Rng + ?Sized>(
     net: &Network,
     plan: &TransferPlan,
     config: &ExecutionConfig,
     rng: &mut R,
 ) -> ExecutionOutcome {
-    assert!(!plan.segments.is_empty(), "plan has no segments");
-    // Per-transfer fiber failures, as in `execute_plan`. Sampling is
-    // skipped entirely at probability zero so failure-free streams pay
-    // no RNG cost per request.
-    let failed: Vec<bool> = if config.fiber_failure_prob == 0.0 {
-        vec![false; net.num_fibers()]
-    } else {
-        (0..net.num_fibers())
-            .map(|_| rng.gen::<f64>() < config.fiber_failure_prob)
-            .collect()
-    };
-    let failed = &failed;
-
-    let mut outcome = ExecutionOutcome {
-        completed: true,
-        latency: 0,
-        segments: Vec::with_capacity(plan.segments.len()),
-    };
-    let mut cursor = plan.src;
-    let mut attempts_proxy = 0u64;
-    for seg in &plan.segments {
-        let Some(support_route) = recover_route(net, cursor, &seg.support_route, failed) else {
-            outcome.completed = false;
-            break;
-        };
-        let support_end = net
-            .walk(cursor, &support_route)
-            .last()
-            .copied()
-            .unwrap_or(cursor);
-        let support_ticks = support_route.len() as u64;
-        let support_fidelity = net.path_fidelity(&support_route);
-        let support_erasure_prob = 1.0
-            - support_route
-                .iter()
-                .map(|&f| 1.0 - net.fiber(f).loss_prob)
-                .product::<f64>();
-
-        let (core_fidelity, core_erasure_prob, core_ticks) = match &seg.core_route {
-            Some(route) => {
-                let Some(route) = recover_route(net, cursor, route, failed) else {
-                    outcome.completed = false;
-                    break;
-                };
-                // Batched link sampling: one geometric first-success draw
-                // per fiber replaces per-tick Bernoulli attempts.
-                let ready: Vec<u64> = route
-                    .iter()
-                    .map(|_| geometric(rng, config.entanglement_rate))
-                    .collect();
-                attempts_proxy += ready.iter().map(|&g| g.min(config.max_ticks)).sum::<u64>();
-                match core_completion(&ready, config.min_advance, config.max_ticks) {
-                    Some(t) => (core_segment_fidelity(net.path_fidelity(&route)), 0.0, t),
-                    None => {
-                        // Transport timeout: charge the burned budget
-                        // (unified failure-latency contract).
-                        outcome.latency += config.max_ticks;
-                        outcome.completed = false;
-                        break;
-                    }
-                }
-            }
-            None => (support_fidelity, support_erasure_prob, support_ticks),
-        };
-
-        let transport_ticks = support_ticks.max(core_ticks);
-        if transport_ticks > config.max_ticks {
-            outcome.latency += config.max_ticks;
-            outcome.completed = false;
-            break;
-        }
-        let mut ticks = transport_ticks;
-        if seg.correct_at_end {
-            ticks += 1; // EC cycle; exempt from the transport budget
-        }
-        outcome.latency += ticks;
-        outcome.segments.push(SegmentOutcome {
-            core_fidelity: core_fidelity.clamp(0.0, 1.0),
-            support_fidelity: support_fidelity.clamp(0.0, 1.0),
-            support_erasure_prob: support_erasure_prob.clamp(0.0, 1.0),
-            core_erasure_prob: core_erasure_prob.clamp(0.0, 1.0),
-            ticks,
-            corrected_at_end: seg.correct_at_end,
-        });
-        cursor = support_end;
-    }
-    if outcome.completed {
-        debug_assert_eq!(cursor, plan.dst, "plan segments do not reach dst");
-    }
-    // Each geometric draw stands in for that many per-tick attempts on
-    // one fiber, capped at the budget — the same quantity the tick
-    // engines tally per attempt.
-    surfnet_telemetry::count!("netsim.entanglement_attempts", attempts_proxy);
-    outcome
+    run_transfer(net, plan, config, rng, false)
 }
 
 /// Plans a request SurfNet-style: the minimum-noise route, split into
@@ -758,7 +593,6 @@ impl Sim<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execution::execute_plan;
     use crate::topology::NodeKind;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -778,44 +612,6 @@ mod tests {
             vec![(1, "a1"), (1, "a2"), (2, "b"), (3, "c"), (5, "e")]
         );
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn geometric_is_deterministic_at_the_extremes() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(geometric(&mut rng, 1.0), 1);
-        assert_eq!(geometric(&mut rng, 1.5), 1);
-        assert_eq!(geometric(&mut rng, 0.0), u64::MAX);
-        for _ in 0..100 {
-            let g = geometric(&mut rng, 0.4);
-            assert!(g >= 1);
-        }
-    }
-
-    #[test]
-    fn geometric_mean_matches_inverse_rate() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let n = 20_000;
-        let p = 0.25;
-        let total: u64 = (0..n).map(|_| geometric(&mut rng, p)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 1.0 / p).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn core_completion_matches_tick_walk() {
-        // min_advance 2: fibers ready at [1, 1] jump at tick 1.
-        assert_eq!(core_completion(&[1, 1], 2, 100), Some(1));
-        // [1, 1, 5, 5]: jump 2 at tick 1, jump 2 at tick 5.
-        assert_eq!(core_completion(&[1, 1, 5, 5], 2, 100), Some(5));
-        // [4, 2, 3]: first jump needs max(4, 2) = 4, run extends to all.
-        assert_eq!(core_completion(&[4, 2, 3], 2, 100), Some(4));
-        // Last fiber alone needs only itself (remaining < min_advance).
-        assert_eq!(core_completion(&[1, 1, 7], 2, 100), Some(7));
-        // Timeout.
-        assert_eq!(core_completion(&[1, 101], 2, 100), None);
-        // Empty route: free.
-        assert_eq!(core_completion(&[], 2, 100), Some(0));
     }
 
     fn line_net() -> Network {
@@ -839,21 +635,6 @@ mod tests {
         assert!(plan.segments[0].correct_at_end);
         assert_eq!(plan.segments[1].support_route, vec![2]);
         assert!(!plan.segments[1].correct_at_end);
-    }
-
-    #[test]
-    fn event_executor_matches_tick_executor_at_rate_one() {
-        let net = line_net();
-        let plan = plan_request(&net, &Request::new(0, 3, 1)).unwrap();
-        let config = ExecutionConfig {
-            entanglement_rate: 1.0,
-            ..ExecutionConfig::default()
-        };
-        let mut rng_a = SmallRng::seed_from_u64(7);
-        let mut rng_b = SmallRng::seed_from_u64(8);
-        let tick = execute_plan(&net, &plan, &config, &mut rng_a);
-        let event = execute_plan_event(&net, &plan, &config, &mut rng_b);
-        assert_eq!(tick, event);
     }
 
     #[test]

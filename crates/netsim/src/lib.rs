@@ -10,14 +10,17 @@
 //!   switches (Sec. VI-B);
 //! * [`entanglement`] — probabilistic pair generation, swapping, and the
 //!   purification recurrence of [11];
-//! * [`execution`] — the tick-based online execution engine (Sec. V-B):
-//!   Support photons over plain channels, Core qubits over the
+//! * [`execution`] — online execution of independent transfers
+//!   (Sec. V-B): Support photons over plain channels, Core qubits over the
 //!   entanglement channel with opportunistic forwarding (minimum segment
-//!   of two fibers), local recovery paths around failed fibers, and
-//!   hop-by-hop teleportation for the Purification-N baselines;
+//!   of two fibers) walked over one geometric pair-ready time per fiber,
+//!   local recovery paths around failed fibers, and hop-by-hop
+//!   teleportation for the Purification-N baselines;
+//! * [`concurrent`] — the second execution engine: many transfers
+//!   contending for shared per-fiber pair pools in one per-tick loop;
 //! * [`event`] — the streaming discrete-event engine: an indexed
 //!   binary-heap event queue, open Poisson / trace-driven arrivals,
-//!   per-link batched (geometric) entanglement sampling, and admission
+//!   per-transfer execution through [`execution`]'s engine, and admission
 //!   control with backpressure against relay memory and fiber pools;
 //! * [`planner`] — minimum-noise route planning: the one Dijkstra kernel
 //!   behind [`Network::shortest_path_by`], and a reusable

@@ -1,20 +1,25 @@
-//! Cross-engine agreement matrix: at `entanglement_rate: 1.0` all three
-//! execution engines — the per-transfer tick engine (`execute_plan`), the
-//! contended tick engine (`execute_concurrently`), and the streaming
-//! event engine (`execute_plan_event`) — must produce identical
-//! [`SegmentOutcome`] fidelity/erasure records and latencies for the same
-//! plans. At rate 1.0 every fiber's first pair is ready at tick 1, so the
-//! engines' different sampling strategies collapse to the same
-//! deterministic walk; any divergence is a semantics bug, not noise.
+//! Cross-engine agreement matrix for the two execution engines.
+//!
+//! * At `entanglement_rate: 1.0` the independent engine (`execute_plan`)
+//!   and the contended tick engine (`execute_concurrently`) must produce
+//!   identical [`SegmentOutcome`] fidelity/erasure records and latencies
+//!   for the same plans: every fiber's first pair is ready at tick 1, so
+//!   the two sampling strategies collapse to the same deterministic walk,
+//!   and any divergence is a semantics bug, not noise.
+//! * `execute_plan_event` is the streaming entry point to the independent
+//!   engine, so it must equal `execute_plan` outcome for outcome at every
+//!   rate and failure probability, given the same seed.
+//!
+//! [`SegmentOutcome`]: surfnet_netsim::SegmentOutcome
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use surfnet_netsim::concurrent::execute_concurrently;
 use surfnet_netsim::event::{execute_plan_event, plan_request};
 use surfnet_netsim::execution::{execute_plan, ExecutionConfig};
 use surfnet_netsim::request::Request;
 use surfnet_netsim::topology::{Network, NodeKind};
-use surfnet_netsim::{ExecutionOutcome, PlannedSegment, TransferPlan};
+use surfnet_netsim::{PlannedSegment, TransferPlan};
 
 /// u0 - s1 - S2(server) - u3: the minimal dual-segment line.
 fn line_net() -> Network {
@@ -56,16 +61,12 @@ fn rate_one() -> ExecutionConfig {
     }
 }
 
-/// Runs `plan` through all three engines with independent seeded RNGs and
+/// Runs `plan` through both engines with independent seeded RNGs and
 /// asserts fidelity/erasure records and latencies agree exactly.
 fn assert_engines_agree(net: &Network, plan: &TransferPlan, config: &ExecutionConfig, seed: u64) {
-    let tick = {
+    let independent = {
         let mut rng = SmallRng::seed_from_u64(seed);
         execute_plan(net, plan, config, &mut rng)
-    };
-    let event = {
-        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(1));
-        execute_plan_event(net, plan, config, &mut rng)
     };
     let concurrent = {
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(2));
@@ -73,22 +74,18 @@ fn assert_engines_agree(net: &Network, plan: &TransferPlan, config: &ExecutionCo
             .pop()
             .unwrap()
     };
-    let check = |name: &str, got: &ExecutionOutcome| {
-        assert_eq!(
-            got.completed, tick.completed,
-            "{name}: completion diverges from execute_plan"
-        );
-        assert_eq!(
-            got.latency, tick.latency,
-            "{name}: latency diverges from execute_plan"
-        );
-        assert_eq!(
-            got.segments, tick.segments,
-            "{name}: segment records diverge from execute_plan"
-        );
-    };
-    check("event", &event);
-    check("concurrent", &concurrent);
+    assert_eq!(
+        concurrent.completed, independent.completed,
+        "concurrent: completion diverges from execute_plan"
+    );
+    assert_eq!(
+        concurrent.latency, independent.latency,
+        "concurrent: latency diverges from execute_plan"
+    );
+    assert_eq!(
+        concurrent.segments, independent.segments,
+        "concurrent: segment records diverge from execute_plan"
+    );
 }
 
 /// All user-pair plans of a network, as the event planner builds them.
@@ -185,4 +182,36 @@ fn engines_agree_on_timeout_latency_charging() {
     let out = execute_plan(&net, &plan, &config, &mut rng);
     assert!(!out.completed);
     assert_eq!(out.latency, 25);
+}
+
+#[test]
+fn event_entry_point_equals_execute_plan_at_every_rate() {
+    // Same engine, same RNG stream: identical outcomes draw for draw,
+    // through timeouts, fiber failures and recovery paths alike.
+    let mut checked_incomplete = 0;
+    for net in [line_net(), square_net()] {
+        for plan in planned_pairs(&net) {
+            for rate in [0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
+                for fiber_failure_prob in [0.0, 0.3] {
+                    let config = ExecutionConfig {
+                        entanglement_rate: rate,
+                        fiber_failure_prob,
+                        max_ticks: 20,
+                        ..ExecutionConfig::default()
+                    };
+                    for seed in 0..8u64 {
+                        let mut rng_a = SmallRng::seed_from_u64(5000 + seed);
+                        let mut rng_b = SmallRng::seed_from_u64(5000 + seed);
+                        let plan_out = execute_plan(&net, &plan, &config, &mut rng_a);
+                        let event_out = execute_plan_event(&net, &plan, &config, &mut rng_b);
+                        assert_eq!(event_out, plan_out, "rate {rate}, seed {seed}");
+                        // Both consumed the same draws.
+                        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+                        checked_incomplete += usize::from(!plan_out.completed);
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked_incomplete > 0, "no failed transfer was compared");
 }
