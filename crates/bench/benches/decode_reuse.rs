@@ -8,21 +8,12 @@
 //!   evaluate loop).
 //! - `fresh_scratch`: long-lived decoder, allocating `decode_sample`.
 //! - `reused`: long-lived decoder + one workspace across all shots.
-//!
-//! A second group, `decode_batch`, compares 64 shots through the scalar
-//! path (`decode_sample_with` per shot) against one bit-packed
-//! [`decode_batch_with`] call over a 64-lane [`ErrorBatch`] at
-//! d = 5..17. Both sides decode the same seeded errors; the equivalence
-//! suite (`crates/decoder/tests/batch_equivalence.rs`) proves the
-//! outcomes bit-identical, so this measures pure data-path cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use surfnet_decoder::{
-    decode_batch_with, BatchScratch, DecodeWorkspace, Decoder, SurfNetDecoder, UnionFindDecoder,
-};
-use surfnet_lattice::{CoreTopology, ErrorModel, ErrorSample, SurfaceCode, LANES_PER_WORD};
+use surfnet_decoder::{DecodeWorkspace, Decoder, SurfNetDecoder, UnionFindDecoder};
+use surfnet_lattice::{CoreTopology, ErrorModel, ErrorSample, SurfaceCode};
 
 fn samples(model: &ErrorModel, count: usize, seed: u64) -> Vec<ErrorSample> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -107,91 +98,9 @@ fn bench_decode_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decode_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode_batch");
-    // Two operating points: `light` is the sub-threshold QEC regime
-    // (most shots have an empty syndrome, which the batch path dispatches
-    // word-parallel), `heavy` keeps every lane on the scalar kernel.
-    for &(noise, p, p_e) in &[("light", 0.008, 0.0), ("heavy", 0.06, 0.15)] {
-        for &distance in &[5usize, 9, 13, 17] {
-            let code = SurfaceCode::new(distance).unwrap();
-            let partition = code.core_partition(CoreTopology::Cross);
-            let model = ErrorModel::dual_channel(&code, &partition, p, p_e);
-            // Same seed on both sides: lane sampling consumes the RNG in
-            // scalar order, so scalar and batched decode identical errors.
-            let scalar_shots = samples(&model, LANES_PER_WORD, 42);
-            let mut rng = SmallRng::seed_from_u64(42);
-            let packed = model.sample_batch(&mut rng, LANES_PER_WORD);
-            let point = format!("{distance}/{noise}");
-
-            group.bench_with_input(
-                BenchmarkId::new("surfnet/scalar_64", &point),
-                &scalar_shots,
-                |b, shots| {
-                    let sn = SurfNetDecoder::from_model(&code, &model);
-                    let mut ws = DecodeWorkspace::new();
-                    b.iter(|| {
-                        let mut failures = 0usize;
-                        for s in shots {
-                            let outcome = sn.decode_sample_with(&code, s, &mut ws);
-                            failures += usize::from(outcome.logical_failure.x);
-                        }
-                        failures
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new("surfnet/batched_64", &point),
-                &packed,
-                |b, packed| {
-                    let sn = SurfNetDecoder::from_model(&code, &model);
-                    let mut ws = DecodeWorkspace::new();
-                    let mut scratch = BatchScratch::new();
-                    b.iter(|| {
-                        let outcomes =
-                            decode_batch_with(&sn, &code, packed, &mut ws, &mut scratch).unwrap();
-                        outcomes.iter().filter(|o| o.logical_failure.x).count()
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new("union-find/scalar_64", &point),
-                &scalar_shots,
-                |b, shots| {
-                    let uf = UnionFindDecoder::from_model(&code, &model);
-                    let mut ws = DecodeWorkspace::new();
-                    b.iter(|| {
-                        let mut failures = 0usize;
-                        for s in shots {
-                            let outcome = uf.decode_sample_with(&code, s, &mut ws);
-                            failures += usize::from(outcome.logical_failure.x);
-                        }
-                        failures
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new("union-find/batched_64", &point),
-                &packed,
-                |b, packed| {
-                    let uf = UnionFindDecoder::from_model(&code, &model);
-                    let mut ws = DecodeWorkspace::new();
-                    let mut scratch = BatchScratch::new();
-                    b.iter(|| {
-                        let outcomes =
-                            decode_batch_with(&uf, &code, packed, &mut ws, &mut scratch).unwrap();
-                        outcomes.iter().filter(|o| o.logical_failure.x).count()
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_decode_reuse, bench_decode_batch
+    targets = bench_decode_reuse
 }
 criterion_main!(benches);

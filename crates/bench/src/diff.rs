@@ -1,13 +1,19 @@
 //! Compares two `BENCH_<figure>.json` reports and flags regressions.
 //!
-//! The comparison direction is inferred from each metric's final path
-//! segment: latency, error, dropped, failed, and infeasible series are better when
-//! *lower*; everything else (fidelity, throughput, threshold) is better
-//! when *higher*. A metric regresses when it moves in the bad direction by
-//! more than `tol` relative to the baseline value. Counters are only
-//! compared when a counter tolerance is supplied — they track work done
-//! (growth rounds, LP pivots), which legitimately drifts with trial
-//! counts, so the default check looks at metrics only.
+//! For `metrics` (and per-stage timer means) the comparison direction is
+//! inferred from each key's final path segment: latency, error, dropped,
+//! failed, and infeasible series are better when *lower*; everything else
+//! (fidelity, throughput, threshold) is better when *higher*. Such a
+//! series regresses when it moves in the bad direction by more than `tol`
+//! relative to the baseline value.
+//!
+//! Counters and grouped family series are compared *two-sided*: they
+//! count work done (growth rounds, LP pivots, per-link attempts), which
+//! has no good direction for a seeded run — more pivots is a slower
+//! solver, fewer growth rounds a changed kernel — so any move beyond the
+//! tolerance, up or down, is a regression. They are only compared when
+//! their tolerance is supplied, since they legitimately drift with trial
+//! counts; the default check looks at metrics only.
 
 use surfnet_telemetry::json::Value;
 
@@ -20,7 +26,9 @@ pub struct MetricDiff {
     pub baseline: f64,
     /// Candidate value.
     pub candidate: f64,
-    /// Relative movement in the bad direction (positive = worse).
+    /// Relative movement in the bad direction (positive = worse); for a
+    /// two-sided series (counters, groups), the size of the move either
+    /// way.
     pub worsening: f64,
     /// Whether the movement exceeds the tolerance.
     pub regression: bool,
@@ -63,12 +71,13 @@ impl DiffReport {
             self.added.len()
         );
         for r in self.rows.iter().filter(|r| r.regression) {
+            let moved = (r.candidate - r.baseline) / r.baseline.abs().max(1e-9);
             out.push_str(&format!(
-                "  REGRESSION {}: {} -> {} ({:+.1}% worse)\n",
+                "  REGRESSION {}: {} -> {} ({:+.1}%)\n",
                 r.name,
                 r.baseline,
                 r.candidate,
-                r.worsening * 100.0
+                moved * 100.0
             ));
         }
         for m in &self.missing {
@@ -138,10 +147,20 @@ fn check_schema(report: &Value, which: &str) -> Result<(), String> {
     }
 }
 
+/// Which moves of a compared series count against it.
+#[derive(Debug, Clone, Copy)]
+enum Direction {
+    /// Only a move in the bad direction, inferred by [`lower_is_better`].
+    Inferred,
+    /// Any move, up or down.
+    TwoSided,
+}
+
 fn compare(
     baseline: &[(String, f64)],
     candidate: &[(String, f64)],
     tol: f64,
+    direction: Direction,
     report: &mut DiffReport,
 ) {
     let lookup =
@@ -151,10 +170,10 @@ fn compare(
             report.missing.push(name.clone());
             continue;
         };
-        let worse_by = if lower_is_better(name) {
-            cand - base
-        } else {
-            base - cand
+        let worse_by = match direction {
+            Direction::TwoSided => (cand - base).abs(),
+            Direction::Inferred if lower_is_better(name) => cand - base,
+            Direction::Inferred => base - cand,
         };
         // Relative to the baseline magnitude, with a floor so a zero
         // baseline doesn't turn every epsilon into a regression.
@@ -177,13 +196,13 @@ fn compare(
 /// Diffs `candidate` against `baseline`.
 ///
 /// `tol` is the relative tolerance for `metrics`; counters are compared
-/// too when `counter_tol` is given (they get their own, typically much
-/// looser, tolerance), the per-stage timer means (`trial.run` and
+/// too, two-sided, when `counter_tol` is given (they get their own
+/// tolerance), the per-stage timer means (`trial.run` and
 /// `trial.stage.*`, as `<name>/mean_ns` keys, lower-is-better) when
 /// `stage_tol` is given — stage times are wall-clock, so its tolerance
-/// should be loose too — and the grouped metric-family series
-/// (`name{label}` keys from the `groups` object) when `group_tol` is
-/// given. Group values are counter values / histogram sample counts
+/// should be loose — and the grouped metric-family series (`name{label}`
+/// keys from the `groups` object), two-sided, when `group_tol` is given.
+/// Group values are counter values / histogram sample counts
 /// (deterministic for seeded runs), so a zero group tolerance is the
 /// normal CI setting; a label vanishing from a family surfaces through
 /// the usual missing-key regression.
@@ -220,6 +239,7 @@ pub fn diff(
         &object(baseline, "metrics")?,
         &object(candidate, "metrics")?,
         tol,
+        Direction::Inferred,
         &mut report,
     );
     if let Some(ctol) = counter_tol {
@@ -227,6 +247,7 @@ pub fn diff(
             &object(baseline, "counters")?,
             &object(candidate, "counters")?,
             ctol,
+            Direction::TwoSided,
             &mut report,
         );
     }
@@ -235,6 +256,7 @@ pub fn diff(
             &stage_timers(baseline)?,
             &stage_timers(candidate)?,
             stol,
+            Direction::Inferred,
             &mut report,
         );
     }
@@ -243,6 +265,7 @@ pub fn diff(
             &object(baseline, "groups")?,
             &object(candidate, "groups")?,
             gtol,
+            Direction::TwoSided,
             &mut report,
         );
     }
@@ -253,17 +276,25 @@ pub fn diff(
 mod tests {
     use super::*;
 
-    fn report(metrics: &[(&str, f64)]) -> Value {
-        let body: String = metrics
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
+    /// `{"k":v,...}` for the given pairs.
+    fn json_obj(pairs: &[(&str, f64)]) -> String {
+        let body: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    /// A report with these metrics and counters, plus `extra` sections.
+    fn report_with(metrics: &[(&str, f64)], counters: &[(&str, f64)], extra: &str) -> Value {
         Value::parse(&format!(
             "{{\"schema\":\"surfnet-bench/v1\",\"figure\":\"t\",\
-             \"metrics\":{{{body}}},\"counters\":{{}}}}"
+             \"metrics\":{},\"counters\":{}{extra}}}",
+            json_obj(metrics),
+            json_obj(counters)
         ))
         .unwrap()
+    }
+
+    fn report(metrics: &[(&str, f64)]) -> Value {
+        report_with(metrics, &[], "")
     }
 
     #[test]
@@ -277,11 +308,6 @@ mod tests {
         assert!(!lower_is_better("a/b/fidelity"));
         assert!(!lower_is_better("a/b/throughput"));
         assert!(!lower_is_better("surfnet/threshold"));
-        // The batch pipeline's first-class throughput metric is
-        // higher-is-better.
-        assert!(!lower_is_better("shots_per_sec"));
-        assert!(!lower_is_better("decoder.batch.flushes"));
-        assert!(!lower_is_better("decoder.batch.shots"));
     }
 
     #[test]
@@ -317,22 +343,56 @@ mod tests {
         assert_eq!(d.added, vec!["c/fidelity".to_string()]);
     }
 
+    #[test]
+    fn counter_rise_is_a_regression() {
+        let base = report_with(
+            &[("a/fidelity", 0.9)],
+            &[("lp.pivots", 1000.0), ("decoder.growth_rounds", 500.0)],
+            "",
+        );
+        let more_work = report_with(
+            &[("a/fidelity", 0.95)],
+            &[("lp.pivots", 1300.0), ("decoder.growth_rounds", 1000.0)],
+            "",
+        );
+        // Counters are invisible without a counter tolerance.
+        assert!(!diff(&base, &more_work, 0.0, None, None, None)
+            .unwrap()
+            .has_regressions());
+        let d = diff(&base, &more_work, 0.0, Some(0.0), None, None).unwrap();
+        let names: Vec<&str> = d.regressions().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["lp.pivots", "decoder.growth_rounds"]);
+        assert!(d.render().contains("(+30.0%)"), "{}", d.render());
+        // A tolerance wider than both moves passes; the fidelity rise is a
+        // metric and stays directional (better, never a regression).
+        assert!(!diff(&base, &more_work, 0.0, Some(1.0), None, None)
+            .unwrap()
+            .has_regressions());
+    }
+
+    #[test]
+    fn counter_fall_is_a_regression() {
+        let base = report_with(&[], &[("lp.pivots", 1000.0)], "");
+        let less_work = report_with(&[], &[("lp.pivots", 700.0)], "");
+        let d = diff(&base, &less_work, 0.0, Some(0.0), None, None).unwrap();
+        assert_eq!(d.regressions().len(), 1);
+        assert!((d.regressions()[0].worsening - 0.3).abs() < 1e-12);
+        assert!(d.render().contains("(-30.0%)"), "{}", d.render());
+        assert!(!diff(&base, &less_work, 0.0, Some(0.3), None, None)
+            .unwrap()
+            .has_regressions());
+    }
+
     fn report_with_timers(metrics: &[(&str, f64)], timers: &[(&str, f64)]) -> Value {
-        let metrics_body: String = metrics
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let timers_body: String = timers
+        let timers: Vec<String> = timers
             .iter()
             .map(|(k, mean)| format!("\"{k}\":{{\"count\":4,\"mean_ns\":{mean}}}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        Value::parse(&format!(
-            "{{\"schema\":\"surfnet-bench/v1\",\"figure\":\"t\",\
-             \"metrics\":{{{metrics_body}}},\"counters\":{{}},\"timers\":{{{timers_body}}}}}"
-        ))
-        .unwrap()
+            .collect();
+        report_with(
+            metrics,
+            &[],
+            &format!(",\"timers\":{{{}}}", timers.join(",")),
+        )
     }
 
     #[test]
@@ -377,16 +437,7 @@ mod tests {
     }
 
     fn report_with_groups(groups: &[(&str, f64)]) -> Value {
-        let body: String = groups
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        Value::parse(&format!(
-            "{{\"schema\":\"surfnet-bench/v1\",\"figure\":\"t\",\
-             \"metrics\":{{}},\"counters\":{{}},\"groups\":{{{body}}}}}"
-        ))
-        .unwrap()
+        report_with(&[], &[], &format!(",\"groups\":{}", json_obj(groups)))
     }
 
     #[test]
@@ -403,14 +454,16 @@ mod tests {
         assert!(!diff(&base, &drifted, 0.0, None, None, None)
             .unwrap()
             .has_regressions());
-        // Attempts carry no lower-is-better marker, so only a *drop*
-        // regresses at zero tolerance; the higher candidate passes.
-        assert!(!diff(&base, &drifted, 0.0, None, None, Some(0.0))
-            .unwrap()
-            .has_regressions());
-        let d = diff(&drifted, &base, 0.0, None, None, Some(0.0)).unwrap();
-        assert_eq!(d.regressions().len(), 1);
-        assert_eq!(d.regressions()[0].name, "netsim.link.attempts{0-1}");
+        // Groups are two-sided: a rise and a drop both regress at zero
+        // tolerance, and a tolerance wider than the move passes both.
+        for (a, b) in [(&base, &drifted), (&drifted, &base)] {
+            let d = diff(a, b, 0.0, None, None, Some(0.0)).unwrap();
+            assert_eq!(d.regressions().len(), 1);
+            assert_eq!(d.regressions()[0].name, "netsim.link.attempts{0-1}");
+            assert!(!diff(a, b, 0.0, None, None, Some(0.02))
+                .unwrap()
+                .has_regressions());
+        }
     }
 
     #[test]

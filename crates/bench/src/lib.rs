@@ -29,6 +29,11 @@ pub mod report_json;
 
 /// Minimal `--key value` argument extraction for the figure binaries.
 ///
+/// An absent flag yields `default`. A flag that is present but has no
+/// value (it is last, or another `--flag` follows it), or a value that
+/// does not parse as `T`, aborts the process with exit code 2 and a
+/// message naming the flag and the value.
+///
 /// # Examples
 ///
 /// ```
@@ -36,11 +41,28 @@ pub mod report_json;
 /// assert_eq!(trials, 12);
 /// ```
 pub fn arg_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match parse_arg(args, key) {
+        Ok(value) => value.unwrap_or(default),
+        Err(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The value following `key` in `args`: `Ok(None)` when the flag is
+/// absent, otherwise the parsed value or the message [`arg_or`] prints.
+fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{key}: cannot parse value `{v}`")),
+        _ => Err(format!("{key}: missing value")),
+    }
 }
 
 /// Collects process arguments (skipping argv[0]).
@@ -105,8 +127,29 @@ mod tests {
         let args: Vec<String> = vec!["--trials".into(), "7".into(), "--x".into()];
         assert_eq!(arg_or(&args, "--trials", 1usize), 7);
         assert_eq!(arg_or(&args, "--seed", 42u64), 42);
-        assert_eq!(arg_or(&args, "--x", 5usize), 5); // missing value
+        // A present flag with no value is an error, not the default.
+        let err = parse_arg::<usize>(&args, "--x").unwrap_err();
+        assert!(err.contains("--x") && err.contains("missing"), "{err}");
+        let followed: Vec<String> = vec!["--tol".into(), "--counters".into()];
+        let err = parse_arg::<f64>(&followed, "--tol").unwrap_err();
+        assert!(err.contains("--tol") && err.contains("missing"), "{err}");
         assert!(has_flag(&args, "--x"));
         assert!(!has_flag(&args, "--y"));
+    }
+
+    #[test]
+    fn unparsable_value_is_an_error_naming_flag_and_value() {
+        let args: Vec<String> = vec!["--max-distance".into(), "9x".into()];
+        let err = parse_arg::<usize>(&args, "--max-distance").unwrap_err();
+        assert!(
+            err.contains("--max-distance") && err.contains("`9x`"),
+            "{err}"
+        );
+        let args: Vec<String> = vec!["--tol".into(), "O".into()];
+        let err = parse_arg::<f64>(&args, "--tol").unwrap_err();
+        assert!(err.contains("--tol") && err.contains("`O`"), "{err}");
+        // Negative numbers are values, not flags.
+        let args: Vec<String> = vec!["--rate".into(), "-0.5".into()];
+        assert_eq!(parse_arg::<f64>(&args, "--rate"), Ok(Some(-0.5)));
     }
 }

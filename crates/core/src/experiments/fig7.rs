@@ -63,18 +63,10 @@ pub fn scenarios() -> [Scenario; 4] {
 
 /// Runs Fig. 7 with `trials` trials per cell (the paper uses 1080).
 pub fn run(trials: usize, base_seed: u64) -> Fig7 {
-    run_with(trials, base_seed, BatchConfig::default())
-}
-
-/// [`run`] with an explicit shot-batching configuration. Results are
-/// bit-identical for any `batch` value; only the decode data path
-/// changes.
-pub fn run_with(trials: usize, base_seed: u64, batch: BatchConfig) -> Fig7 {
     let mut cells = Vec::new();
     for scenario in scenarios() {
         let mut cfg = TrialConfig::default();
         cfg.scenario = scenario;
-        cfg.batch = batch;
         for design in Design::FIG7 {
             let batch = parallel_trials(design, &cfg, trials, base_seed);
             let summary = batch.summary();
@@ -91,6 +83,12 @@ pub fn run_with(trials: usize, base_seed: u64, batch: BatchConfig) -> Fig7 {
         }
     }
     Fig7 { cells, trials }
+}
+
+/// [`run`], taking the settings-free [`BatchConfig`] the benchmark
+/// package passes.
+pub fn run_with(trials: usize, base_seed: u64, _batch: BatchConfig) -> Fig7 {
+    run(trials, base_seed)
 }
 
 /// Renders the comparison table.

@@ -26,8 +26,9 @@ use surfnet_lattice::{
 /// none), so the outcome is just the logical parity of the raw error —
 /// which can still be a failure when the error is itself a logical
 /// operator. Bit-identity to actually running the kernel is pinned by
-/// `tests/batch_equivalence.rs`, whose scalar reference goes through the
-/// raw [`Decoder::decode`] path.
+/// `tests/workspace_equivalence.rs`, whose reference
+/// [`Decoder::decode_sample`] goes through the raw [`Decoder::decode`]
+/// path.
 fn trivial_fast_path(
     code: &SurfaceCode,
     sample: &ErrorSample,

@@ -9,9 +9,8 @@
 //! change to growth, peeling, matching, sampling or scoring that alters
 //! a single correction fails here.
 //!
-//! `batch_equivalence.rs` and `workspace_equivalence.rs` compare two
-//! paths that share one kernel, so they cannot see a kernel drift; this
-//! test can.
+//! `workspace_equivalence.rs` compares two paths that share one kernel,
+//! so it cannot see a kernel drift; this test can.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

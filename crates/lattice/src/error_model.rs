@@ -210,25 +210,6 @@ impl ErrorModel {
         self.erasure_prob[q] = p;
     }
 
-    /// Draws the `(erased, operator)` outcome for one qubit.
-    ///
-    /// This is the single source of truth for the per-qubit RNG draw order
-    /// — [`ErrorModel::sample`] and the batch sampler in
-    /// [`crate::bitplanes`] both call it, which is what makes the batch
-    /// path bit-identical to the scalar path: an erasure consumes two draws
-    /// (threshold + mixed-state operator), a surviving qubit consumes the
-    /// threshold draw and, on a hit, the error-operator draw.
-    #[inline]
-    pub(crate) fn draw_qubit<R: Rng + ?Sized>(&self, q: usize, rng: &mut R) -> (bool, Pauli) {
-        if rng.gen::<f64>() < self.erasure_prob[q] {
-            (true, Pauli::ALL[rng.gen_range(0..4)])
-        } else if rng.gen::<f64>() < self.pauli_prob[q] {
-            (false, Pauli::ERRORS[rng.gen_range(0..3)])
-        } else {
-            (false, Pauli::I)
-        }
-    }
-
     /// Samples one transmission: first erasures (an erased qubit becomes a
     /// maximally mixed state — uniform `{I, X, Y, Z}`), then independent
     /// Pauli errors on the surviving qubits.
@@ -241,16 +222,24 @@ impl ErrorModel {
     /// [`Self::sample`] into an existing [`ErrorSample`], reusing its
     /// buffers: the same RNG draws in the same order, so a shot loop that
     /// refills one sample sees exactly the samples `sample` would return.
+    ///
+    /// Per qubit, an erasure consumes two draws (threshold + mixed-state
+    /// operator); a surviving qubit consumes the threshold draw and, on a
+    /// hit, the error-operator draw.
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut ErrorSample) {
         let n = self.len();
         out.pauli.reset_identity(n);
         out.erased.clear();
         out.erased.resize(n, false);
         for q in 0..n {
-            let (is_erased, op) = self.draw_qubit(q, rng);
-            out.erased[q] = is_erased;
-            if !op.is_identity() {
-                out.pauli.set(q, op);
+            if rng.gen::<f64>() < self.erasure_prob[q] {
+                out.erased[q] = true;
+                let op = Pauli::ALL[rng.gen_range(0..4)];
+                if !op.is_identity() {
+                    out.pauli.set(q, op);
+                }
+            } else if rng.gen::<f64>() < self.pauli_prob[q] {
+                out.pauli.set(q, Pauli::ERRORS[rng.gen_range(0..3)]);
             }
         }
     }

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitplanes;
 pub mod code;
 pub mod css;
 pub mod error_model;
@@ -48,7 +47,6 @@ pub mod pauli;
 pub mod rotated;
 pub mod syndrome;
 
-pub use bitplanes::{BitPlane, ErrorBatch, PauliBitplanes, SyndromeBitplanes, LANES_PER_WORD};
 pub use code::SurfaceCode;
 pub use css::CssCode;
 pub use error_model::{ErrorModel, ErrorSample};

@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use surfnet_lattice::{
-    ErrorModel, Pauli, PauliBitplanes, PauliString, SurfaceCode, SyndromeBitplanes,
-};
+use surfnet_lattice::{ErrorModel, Pauli, PauliString, SurfaceCode};
 
 fn pauli_strategy() -> impl Strategy<Value = Pauli> {
     prop_oneof![
@@ -111,81 +109,4 @@ proptest! {
         }
     }
 
-    // ---- PauliBitplanes: the bit-packed batch substrate ----
-
-    #[test]
-    fn bitplane_pack_unpack_round_trips(
-        strings in proptest::collection::vec(string_strategy(13), 1..130),
-    ) {
-        // Every lane of the packed planes unpacks to the exact string it
-        // was packed from, across word boundaries (up to 130 lanes = 3
-        // ragged words).
-        let planes = PauliBitplanes::pack(&strings);
-        prop_assert_eq!(planes.lanes(), strings.len());
-        for (lane, s) in strings.iter().enumerate() {
-            prop_assert_eq!(&planes.unpack_lane(lane), s);
-            for q in 0..s.len() {
-                prop_assert_eq!(planes.op(lane, q), s.get(q));
-            }
-        }
-    }
-
-    #[test]
-    fn bitplane_weight_and_commutation_match_pauli_string(
-        strings in proptest::collection::vec(string_strategy(13), 1..70),
-    ) {
-        // Per lane: the plane-derived weight equals the string weight, and
-        // the batch-extracted syndrome equals the scalar commutation
-        // parities with every stabilizer.
-        let code = SurfaceCode::new(3).unwrap();
-        let planes = PauliBitplanes::pack(&strings);
-        let mut syndromes = SyndromeBitplanes::default();
-        code.extract_syndrome_batch(&planes, &mut syndromes);
-        for (lane, s) in strings.iter().enumerate() {
-            prop_assert_eq!(planes.lane_weight(lane), s.weight());
-            prop_assert_eq!(syndromes.lane(lane), code.extract_syndrome(s));
-        }
-    }
-
-    #[test]
-    fn bitplane_lanes_are_isolated(
-        strings in proptest::collection::vec(string_strategy(13), 2..70),
-        lane_pick in any::<u64>(),
-        qubit in 0usize..13,
-        op in pauli_strategy(),
-    ) {
-        // Overwriting one lane — op by op or via pack_lane — must leave
-        // every other lane bit-identical.
-        let mut planes = PauliBitplanes::pack(&strings);
-        let target = lane_pick as usize % strings.len();
-        planes.set_op(target, qubit, op);
-        prop_assert_eq!(planes.op(target, qubit), op);
-        let replacement = PauliString::from_support(13, &[qubit], op);
-        planes.pack_lane(target, &replacement);
-        prop_assert_eq!(&planes.unpack_lane(target), &replacement);
-        for (lane, s) in strings.iter().enumerate() {
-            if lane != target {
-                prop_assert_eq!(&planes.unpack_lane(lane), s);
-            }
-        }
-    }
-
-    #[test]
-    fn bitplane_xor_assign_is_phase_free_composition(
-        a in proptest::collection::vec(string_strategy(13), 1..70),
-        seed in any::<u64>(),
-    ) {
-        // XOR of X/Z planes is the phase-free Pauli product — the batch
-        // residual (error ⊕ correction) must match `a * b` per lane.
-        let code = SurfaceCode::new(3).unwrap();
-        let model = ErrorModel::uniform(&code, 0.2, 0.0);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let b: Vec<PauliString> =
-            (0..a.len()).map(|_| model.sample(&mut rng).pauli).collect();
-        let mut planes = PauliBitplanes::pack(&a);
-        planes.xor_assign(&PauliBitplanes::pack(&b));
-        for lane in 0..a.len() {
-            prop_assert_eq!(planes.unpack_lane(lane), &a[lane] * &b[lane]);
-        }
-    }
 }

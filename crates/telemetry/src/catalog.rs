@@ -29,10 +29,6 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("bench.ablation_step.trials", MetricKind::Timer),
     ("bench.overhead.counter", MetricKind::Counter),
     ("bench.overhead.span", MetricKind::Timer),
-    ("decoder.batch.decode", MetricKind::Timer),
-    ("decoder.batch.flushes", MetricKind::Counter),
-    ("decoder.batch.scalar_fallbacks", MetricKind::Counter),
-    ("decoder.batch.shots", MetricKind::Counter),
     ("decoder.blossom.match", MetricKind::Timer),
     ("decoder.blossom_stages", MetricKind::Counter),
     ("decoder.cache_hits", MetricKind::Counter),

@@ -241,10 +241,8 @@ fn derive_gauges(
 ) -> Vec<(String, Value)> {
     let delta = |name: &str| lookup_pair(counter_deltas, name).unwrap_or(0);
     let mut gauges = Vec::new();
-    // Decoded shots this window: the batch path counts them explicitly;
-    // scalar decodes are one histogram sample per shot.
-    let batch_shots = delta("decoder.batch.shots");
-    let scalar_shots: u64 = timer_deltas
+    // Decoded shots this window: one decoder-span sample per shot.
+    let shots: u64 = timer_deltas
         .iter()
         .filter(|(n, _, _)| {
             matches!(
@@ -254,7 +252,6 @@ fn derive_gauges(
         })
         .map(|&(_, count, _)| count)
         .sum();
-    let shots = batch_shots + scalar_shots;
     if shots > 0 && dt_ms > 0 {
         gauges.push((
             "shots_per_sec".to_string(),
@@ -495,8 +492,8 @@ mod tests {
                 let record = sampler.sample(
                     t_ms,
                     &snap(
-                        &[("decoder.batch.shots", shots), ("journal.dropped", 0)],
-                        &[("decoder.batch.decode", shots / 64, shots * 100)],
+                        &[("decoder.cache_hits", shots), ("journal.dropped", 0)],
+                        &[("decoder.surfnet.decode", shots, shots * 100)],
                     ),
                 );
                 record.write(&mut out);
