@@ -13,8 +13,9 @@
 //! overwhelmingly share the same Core/Support fidelity signature (the
 //! paper's Sec. IV error model is uniform per channel class). The
 //! [`DecoderCache`] therefore memoizes one constructed decoder + error
-//! model per distinct signature and reuses one [`DecodeWorkspace`] across
-//! every shot, so the steady-state decode loop allocates nothing.
+//! model per distinct signature and reuses one [`DecodeWorkspace`] and one
+//! [`ErrorSample`] across every shot, so the steady-state decode loop
+//! allocates nothing.
 
 use crate::flight;
 use crate::pipeline::PipelineError;
@@ -138,7 +139,7 @@ struct CacheEntry {
 
 /// Per-trial decoder cache: one constructed decoder and [`ErrorModel`]
 /// per distinct segment signature, plus one shared [`DecodeWorkspace`]
-/// for every shot.
+/// and one [`ErrorSample`] that every shot is sampled into.
 ///
 /// Build one per trial (signatures are derived from the trial's network,
 /// so reuse across trials would only grow the table) and feed every
@@ -151,6 +152,7 @@ pub struct DecoderCache {
     // also keeps iteration order deterministic for telemetry.
     entries: Vec<(SegmentKey, CacheEntry)>,
     workspace: DecodeWorkspace,
+    sample: ErrorSample,
 }
 
 impl DecoderCache {
@@ -233,9 +235,13 @@ impl DecoderCache {
         for (idx, segment) in outcome.segments.iter().enumerate() {
             let _seg = surfnet_telemetry::trace::segment_scope(idx as u64);
             let i = self.entry_index(code, partition, segment, decoder)?;
-            let DecoderCache { entries, workspace } = self;
+            let DecoderCache {
+                entries,
+                workspace,
+                sample,
+            } = self;
             let entry = &entries[i].1;
-            let sample = entry.model.sample(rng);
+            entry.model.sample_into(rng, sample);
             let result = latency_fam.time(dist_key, || {
                 if flight::armed() {
                     flight::set_segment(idx);
@@ -243,24 +249,24 @@ impl DecoderCache {
                     // with the recorder armed, capture the offending shot
                     // first so the panic leaves a replayable artifact behind.
                     match catch_unwind(AssertUnwindSafe(|| {
-                        entry.decoder.decode_sample_with(code, &sample, workspace)
+                        entry.decoder.decode_sample_with(code, sample, workspace)
                     })) {
                         Ok(result) => result,
                         Err(payload) => {
                             let message = flight::panic_text(&payload);
-                            flight::capture_invariant_panic(code, &entry.model, &sample, &message);
+                            flight::capture_invariant_panic(code, &entry.model, sample, &message);
                             resume_unwind(payload)
                         }
                     }
                 } else {
-                    entry.decoder.decode_sample_with(code, &sample, workspace)
+                    entry.decoder.decode_sample_with(code, sample, workspace)
                 }
             });
             debug_assert!(result.syndrome_cleared);
             if !result.is_success() {
                 surfnet_telemetry::event!("evaluate.shot_failed");
                 errors_fam.incr(LabelKey::segment(idx));
-                flight::capture_logical_error(code, &entry.model, &sample);
+                flight::capture_logical_error(code, &entry.model, sample);
                 ok = false;
             }
         }

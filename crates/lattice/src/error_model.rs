@@ -246,8 +246,9 @@ impl ErrorModel {
 }
 
 /// One sampled transmission: the hidden Pauli error pattern plus the
-/// decoder-visible erasure flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// decoder-visible erasure flags. The default is the empty sample, a
+/// buffer for [`ErrorModel::sample_into`] to fill.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ErrorSample {
     /// The actual Pauli error on each data qubit. Hidden from decoders
     /// (measuring data qubits would destroy the logical state, Sec. III-C);
