@@ -16,7 +16,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed"]);
     let trials = arg_or(&args, "--trials", 40usize);
     let seed = arg_or(&args, "--seed", 77_000u64);
     println!("execution-contention ablation ({trials} trials per row)");

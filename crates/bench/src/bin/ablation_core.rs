@@ -33,7 +33,7 @@ fn rate(code: &SurfaceCode, model: &ErrorModel, trials: usize, seed: u64) -> f64
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--distance", "--pauli", "--erasure"]);
     let trials = arg_or(&args, "--trials", 1500usize);
     let distance = arg_or(&args, "--distance", 9usize);
     let p = arg_or(&args, "--pauli", 0.07f64);

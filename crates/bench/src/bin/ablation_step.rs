@@ -21,7 +21,7 @@ fn main() {
     // always available (the dump at the end still obeys the env mode).
     let _telemetry = Telemetry::enabled();
     let trial_timer = surfnet_telemetry::timer("bench.ablation_step.trials");
-    let args = args();
+    let args = args(&["--trials", "--distance"]);
     let trials = arg_or(&args, "--trials", 1200usize);
     let distance = arg_or(&args, "--distance", 9usize);
     let code = SurfaceCode::new(distance).expect("valid distance");

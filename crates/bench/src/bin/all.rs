@@ -11,7 +11,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--fig8-trials", "--seed"]);
     let trials = arg_or(&args, "--trials", 40usize);
     let fig8_trials = arg_or(&args, "--fig8-trials", 400usize);
     let seed = arg_or(&args, "--seed", 90_000u64);

@@ -25,7 +25,15 @@ fn load(path: &str) -> Result<Value, String> {
 }
 
 fn main() {
-    let args = args();
+    let args = args(&[
+        "--tol",
+        "--counters",
+        "--counter-tol",
+        "--stages",
+        "--stage-tol",
+        "--groups",
+        "--group-tol",
+    ]);
     let positional: Vec<&String> = {
         // Flags either stand alone (--counters) or take a value; strip both.
         let mut out = Vec::new();

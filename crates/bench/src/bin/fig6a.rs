@@ -11,7 +11,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed", "--detail"]);
     let trials = arg_or(&args, "--trials", 40usize);
     let seed = arg_or(&args, "--seed", 61_000u64);
     let result = fig6a::run(trials, seed);

@@ -11,7 +11,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed", "--param"]);
     let trials = arg_or(&args, "--trials", 30usize);
     let seed = arg_or(&args, "--seed", 62_000u64);
     let which = arg_or(&args, "--param", "all".to_string());

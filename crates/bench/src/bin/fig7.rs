@@ -12,7 +12,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed"]);
     let trials = arg_or(&args, "--trials", 40usize);
     let seed = arg_or(&args, "--seed", 70_000u64);
     let result = fig7::run(trials, seed);

@@ -14,7 +14,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed", "--max-distance"]);
     let trials = arg_or(&args, "--trials", 400usize);
     let seed = arg_or(&args, "--seed", 80_000u64);
     let max_distance = arg_or(&args, "--max-distance", 15usize);

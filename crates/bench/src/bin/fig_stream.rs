@@ -40,7 +40,7 @@ fn horizon_override() -> Option<u64> {
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed", "--rate", "--horizon", "--nodes"]);
     let trials = arg_or(&args, "--trials", 4usize);
     let seed = arg_or(&args, "--seed", 90_000u64);
     let mut params = StreamParams::default();

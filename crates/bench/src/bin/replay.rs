@@ -14,8 +14,8 @@ use std::path::Path;
 use surfnet_core::flight;
 
 fn main() {
-    let paths = surfnet_bench::args();
-    if paths.is_empty() || paths.iter().any(|p| p.starts_with("--")) {
+    let paths = surfnet_bench::args(&[]);
+    if paths.is_empty() {
         eprintln!("usage: replay <artifact.json>...");
         std::process::exit(2);
     }

@@ -22,7 +22,7 @@ fn read(path: &str) -> Result<String, String> {
 }
 
 fn run() -> Result<String, String> {
-    let args = args();
+    let args = args(&["--journal", "--stats", "--top", "--json"]);
     let journal_path = arg_or(&args, "--journal", String::new());
     let stats_path = arg_or(&args, "--stats", String::new());
     if journal_path.is_empty() && stats_path.is_empty() {

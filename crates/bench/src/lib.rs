@@ -65,9 +65,39 @@ fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<
     }
 }
 
-/// Collects process arguments (skipping argv[0]).
-pub fn args() -> Vec<String> {
-    env::args().skip(1).collect()
+/// Collects the process arguments (skipping `argv[0]`) of a binary that
+/// accepts the flags in `accepted`.
+///
+/// Any other argument that starts with `--` aborts the process with exit
+/// code 2 and a message naming the first such flag, so a misspelt flag
+/// (`--trails 4`) cannot silently fall back to a default. Arguments that
+/// do not start with `--` (flag values, positional paths) pass through.
+pub fn args(accepted: &[&str]) -> Vec<String> {
+    let args: Vec<String> = env::args().skip(1).collect();
+    if let Err(message) = check_flags(&args, accepted) {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    }
+    args
+}
+
+/// The message [`args`] prints for the first flag of `args` not in
+/// `accepted`.
+fn check_flags(args: &[String], accepted: &[&str]) -> Result<(), String> {
+    let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+    else {
+        return Ok(());
+    };
+    if accepted.is_empty() {
+        Err(format!("unknown flag `{flag}`: this binary takes no flags"))
+    } else {
+        Err(format!(
+            "unknown flag `{flag}` (accepted: {})",
+            accepted.join(", ")
+        ))
+    }
 }
 
 /// Whether a bare flag is present.
@@ -135,6 +165,27 @@ mod tests {
         assert!(err.contains("--tol") && err.contains("missing"), "{err}");
         assert!(has_flag(&args, "--x"));
         assert!(!has_flag(&args, "--y"));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_naming_it() {
+        let accepted = ["--trials", "--seed"];
+        let args: Vec<String> = vec!["--trials".into(), "4".into(), "--batch".into()];
+        let err = check_flags(&args, &accepted).unwrap_err();
+        assert!(err.contains("`--batch`") && err.contains("--seed"), "{err}");
+        let help: Vec<String> = vec!["--help".into()];
+        let err = check_flags(&help, &[]).unwrap_err();
+        assert!(err.contains("`--help`"), "{err}");
+        // Values and positional arguments are not flags.
+        let args: Vec<String> = vec!["a.json".into(), "--seed".into(), "-3".into()];
+        assert_eq!(check_flags(&args, &accepted), Ok(()));
+    }
+
+    #[test]
+    fn misspelt_flag_is_an_error_naming_it() {
+        let args: Vec<String> = vec!["--trails".into(), "4".into(), "--seed".into(), "1".into()];
+        let err = check_flags(&args, &["--trials", "--seed"]).unwrap_err();
+        assert!(err.contains("`--trails`"), "{err}");
     }
 
     #[test]
