@@ -22,7 +22,7 @@ pub struct GrowthConfig {
     /// start pre-grown, so their speed is never read.
     pub speeds: Vec<f64>,
     /// Edges that start fully grown. The Union-Find baseline pre-grows
-    /// erased edges (the erasure initializes its clusters, after [32]).
+    /// erased edges (the erasure initializes its clusters, after \[32\]).
     pub pregrown: Vec<bool>,
 }
 

@@ -1,6 +1,6 @@
 //! The [`Decoder`] trait and the three complete surface-code decoders:
 //! [`MwpmDecoder`] (Algorithm 1), [`UnionFindDecoder`] (the paper's
-//! baseline, after [32] + [39]), and [`SurfNetDecoder`] (Algorithm 2).
+//! baseline, after \[32\] + \[39\]), and [`SurfNetDecoder`] (Algorithm 2).
 //!
 //! All three decode the two CSS problems independently: X-type errors on
 //! the primal graph (measure-Z syndromes) and Z-type errors on the dual
@@ -381,9 +381,9 @@ impl GrowthDecoder {
     }
 }
 
-/// The paper's baseline: the almost-linear-time Union-Find decoder [32]
+/// The paper's baseline: the almost-linear-time Union-Find decoder \[32\]
 /// with uniform half-edge growth, erased edges pre-seeding the clusters,
-/// and the peeling decoder [39] for the final correction.
+/// and the peeling decoder \[39\] for the final correction.
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     inner: GrowthDecoder,

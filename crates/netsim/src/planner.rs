@@ -8,7 +8,7 @@
 //!   [`Network::incident`] order;
 //! * the Dijkstra scratch (distances, predecessors, heap) is reused across
 //!   searches and reset only at the nodes the previous search reached;
-//! * the marks that deduplicate an admission [`Footprint`] are stamped, so
+//! * the marks that deduplicate an admission `Footprint` are stamped, so
 //!   computing one allocates nothing network-sized.
 //!
 //! [`Network::shortest_path_by`] — and through it `min_noise_path`,
