@@ -1,8 +1,10 @@
 //! `SURFNET_CHECK=1` runtime invariant checkers for the simplex solver.
 //!
-//! After phase 1 establishes a basic feasible point, every subsequent pivot
-//! must preserve primal feasibility: the ratio test picks the leaving row
-//! precisely so the rhs column stays non-negative. A negative rhs after a
+//! Once the solve holds a basic feasible point (the feasible origin, or the
+//! end of phase 1), every subsequent pivot must preserve primal
+//! feasibility: the ratio test picks the leaving row precisely so the rhs
+//! column stays non-negative, and a pinned artificial leaves the basis
+//! before a pivot could move it off 0. A negative rhs after a
 //! pivot means the ratio test or the pivot arithmetic is broken — a bug
 //! that otherwise surfaces only as a silently infeasible "optimal" routing
 //! plan. See `surfnet_decoder::check` for the decoder-side counterpart.
@@ -74,6 +76,22 @@ pub fn check_primal_feasible(
     Ok(())
 }
 
+/// Every pinned artificial variable (`(tableau row, basic value)` pairs)
+/// sits at exactly 0: its bounds are `[0, 0]`, and the ratio test moves it
+/// out of the basis before any pivot could change its value.
+pub fn check_pinned_at_zero(
+    basic_values: impl IntoIterator<Item = (usize, f64)>,
+) -> Result<(), InvariantViolation> {
+    for (ri, value) in basic_values {
+        if value != 0.0 {
+            return Err(InvariantViolation {
+                message: format!("pinned artificial in tableau row {ri} has value {value:.3e}"),
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,5 +115,12 @@ mod tests {
     #[test]
     fn non_finite_rhs_fires() {
         assert!(check_primal_feasible([f64::NAN]).is_err());
+    }
+
+    #[test]
+    fn pinned_artificials_must_be_exactly_zero() {
+        assert_eq!(check_pinned_at_zero([(0, 0.0), (3, -0.0)]), Ok(()));
+        let err = check_pinned_at_zero([(0, 0.0), (2, 1e-18)]).unwrap_err();
+        assert!(err.message.contains("row 2"), "{err}");
     }
 }

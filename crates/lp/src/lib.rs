@@ -1,19 +1,23 @@
-//! A two-phase simplex linear-programming solver.
+//! A simplex linear-programming solver.
 //!
 //! The SurfNet routing protocol (paper Sec. V-A) is an integer program
 //! maximizing network throughput under capacity, entanglement and noise
 //! constraints; the paper's evaluation solves its LP relaxation with
 //! rounding. No LP solver crate is available offline, so this crate
 //! provides one from scratch: a bounded-variable builder
-//! ([`LinearProgram`]) and a two-phase tableau simplex ([`simplex`]) with
-//! a Bland-rule fallback against cycling.
+//! ([`LinearProgram`]) and a tableau simplex ([`simplex`]) with a
+//! Bland-rule fallback against cycling.
 //!
-//! The tableau drops fixed (`lower == upper`) columns — the forbidden edge
-//! flows that make up most of a routing formulation — and is stored as one
-//! flat row-major buffer. Each pivot updates only the pivot row's nonzero
-//! columns, in rows whose entering-column entry is nonzero. The pivot
-//! sequence and every result are bit-identical to the plain dense tableau,
-//! which the crate's tests keep as a differential oracle.
+//! A program whose origin is feasible (every routing LP) starts phase 2 at
+//! once, with its artificial variables pinned at 0; only programs with an
+//! infeasible origin run phase 1. The tableau drops fixed
+//! (`lower == upper`) columns — the forbidden edge flows that make up most
+//! of a routing formulation — and is stored as one flat row-major buffer.
+//! Each pivot updates only the pivot row's nonzero columns, in rows whose
+//! entering-column entry is nonzero. The crate's tests keep the plain
+//! dense two-phase tableau as a differential oracle: two-phase solves
+//! match it bit for bit, pivot count included, and feasible-origin solves
+//! match its objective.
 //!
 //! # Examples
 //!

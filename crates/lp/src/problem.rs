@@ -118,22 +118,19 @@ impl LinearProgram {
     /// argument for skipping zero entries needs finite coefficients).
     pub fn add_constraint(&mut self, terms: &[(Variable, f64)], op: ConstraintOp, rhs: f64) {
         assert!(!rhs.is_nan(), "constraint rhs is NaN");
-        let mut dense: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             assert!(v.0 < self.num_vars(), "variable out of range");
             assert!(!c.is_nan(), "constraint coefficient is NaN");
             assert!(c.is_finite(), "constraint coefficient is infinite");
-            if let Some(slot) = dense.iter_mut().find(|(i, _)| *i == v.0) {
-                slot.1 += c;
-            } else {
-                dense.push((v.0, c));
-            }
         }
-        self.constraints.push(Constraint {
-            terms: dense,
-            op,
-            rhs,
-        });
+        let mut sorted: Vec<usize> = terms.iter().map(|&(v, _)| v.0).collect();
+        sorted.sort_unstable();
+        let terms = if sorted.windows(2).any(|w| w[0] == w[1]) {
+            merge_duplicates(terms)
+        } else {
+            terms.iter().map(|&(v, c)| (v.0, c)).collect()
+        };
+        self.constraints.push(Constraint { terms, op, rhs });
     }
 
     /// Evaluates the objective at a point.
@@ -192,6 +189,22 @@ impl LinearProgram {
     }
 }
 
+/// Sums the coefficients of repeated variables into the variable's first
+/// occurrence, left to right. Linear in the term count per term, so
+/// [`LinearProgram::add_constraint`] calls it only for rows that do repeat
+/// a variable.
+fn merge_duplicates(terms: &[(Variable, f64)]) -> Vec<(usize, f64)> {
+    let mut merged: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
+    for &(v, c) in terms {
+        if let Some(slot) = merged.iter_mut().find(|(i, _)| *i == v.0) {
+            slot.1 += c;
+        } else {
+            merged.push((v.0, c));
+        }
+    }
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,8 +225,32 @@ mod tests {
     fn duplicate_terms_are_merged() {
         let mut lp = LinearProgram::new();
         let x = lp.add_var(1.0, 0.0, f64::INFINITY);
+        let y = lp.add_var(1.0, 0.0, f64::INFINITY);
+        let z = lp.add_var(1.0, 0.0, f64::INFINITY);
         lp.add_constraint(&[(x, 1.0), (x, 2.0)], ConstraintOp::Le, 3.0);
         assert_eq!(lp.constraints[0].terms, vec![(0, 3.0)]);
+        // Non-adjacent and three-way duplicates land on the variable's first
+        // occurrence, and the other terms keep their order.
+        lp.add_constraint(
+            &[(z, 1.0), (x, 2.0), (y, 4.0), (z, 8.0), (x, 16.0), (z, 32.0)],
+            ConstraintOp::Le,
+            0.0,
+        );
+        assert_eq!(
+            lp.constraints[1].terms,
+            vec![(2, 41.0), (0, 18.0), (1, 4.0)]
+        );
+        // Sums run left to right: (1 + 1e16) + -1e16 is 0, while the other
+        // association would give 1.
+        lp.add_constraint(
+            &[(y, 1.0), (x, 5.0), (y, 1e16), (y, -1e16)],
+            ConstraintOp::Ge,
+            0.0,
+        );
+        assert_eq!(lp.constraints[2].terms, vec![(1, 0.0), (0, 5.0)]);
+        // Rows without duplicates keep their terms as given.
+        lp.add_constraint(&[(z, 3.0), (x, -1.0), (y, 2.0)], ConstraintOp::Eq, 1.0);
+        assert_eq!(lp.constraints[3].terms, vec![(2, 3.0), (0, -1.0), (1, 2.0)]);
     }
 
     #[test]

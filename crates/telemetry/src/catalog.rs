@@ -48,6 +48,7 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("flight.captured", MetricKind::Counter),
     ("journal.dropped", MetricKind::Counter),
     ("lp.iterations", MetricKind::Counter),
+    ("lp.phase1_solves", MetricKind::Counter),
     ("lp.pivots", MetricKind::Counter),
     ("lp.solve", MetricKind::Timer),
     ("lp.solves", MetricKind::Counter),
